@@ -12,12 +12,13 @@ error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import itertools
 import json
 import sys
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from . import oracle
 from .dynkin import Diagram, poincare_closed, poincare_parabolic, remove_nodes
@@ -542,17 +543,34 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@contextlib.contextmanager
+def _unlimited_int_digits() -> Iterator[None]:
+    # counts routinely exceed the int-to-str digit limit of CPython 3.10.7
+    # and later; older versions have no limit and no setter
+    set_digits = getattr(sys, "set_int_max_str_digits", None)
+    if set_digits is None:
+        yield
+        return
+    saved = sys.get_int_max_str_digits()
+    set_digits(0)
+    try:
+        yield
+    finally:
+        set_digits(saved)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        records, code = _DISPATCH[args.command](args)
-    except CliParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    _emit(records, args.format)
+    with _unlimited_int_digits():
+        try:
+            records, code = _DISPATCH[args.command](args)
+        except CliParseError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 3
+        _emit(records, args.format)
     return code
 
 

@@ -12,12 +12,15 @@ every other component is a plain chain of type A.
 
 from __future__ import annotations
 
+import itertools
+import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .entropy import ProbVec
-from .exact import InexactDivisionError, IntPolynomial, factorial
+from .exact import InexactDivisionError, IntPolynomial, exact_div, factorial
 
 __all__ = [
     "FAMILIES",
@@ -55,6 +58,12 @@ class Diagram:
 def _check_family(family: str) -> None:
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
+
+
+def _check_rank(family: str, rank: int) -> None:
+    _check_family(family)
+    if rank < 1:
+        raise ValueError("rank must be at least 1")
 
 
 def _adjacency(diagram: Diagram) -> dict[int, list[int]]:
@@ -132,9 +141,7 @@ def group_order(family: str, rank: int) -> int:
     Rank 1 is accepted for every family so that degenerate tail factors
     keep the uniform closed forms; the D value at rank 1 is 1.
     """
-    _check_family(family)
-    if rank < 1:
-        raise ValueError("rank must be at least 1")
+    _check_rank(family, rank)
     if family == "A":
         return factorial(rank + 1)
     if family in ("B", "C"):
@@ -159,48 +166,94 @@ def _bracket_sizes(family: str, rank: int) -> tuple[int, ...]:
     return (rank,) + tuple(2 * i for i in range(1, rank))
 
 
-def _times_bracket(coeffs: list[int], j: int) -> list[int]:
-    # multiply by 1 + t + ... + t^{j-1} with a sliding window sum
-    out = []
-    acc = 0
-    n = len(coeffs)
-    for i in range(n + j - 1):
-        if i < n:
-            acc += coeffs[i]
-        if i - j >= 0:
-            acc -= coeffs[i - j]
-        out.append(acc)
-    return out
+def _bracket_quotient(numer: Sequence[int], denom: Sequence[int]) -> IntPolynomial:
+    """The polynomial C / P with C = prod [a]_t over numer and P = prod
+    [b]_t over denom, where [j]_t = 1 + t + ... + t^{j-1}.
 
+    After cancelling shared sizes, C / P is the power series
+    prod (1 - t^a) / prod (1 - t^b) * (1 - t)^{#b - #a}, carried to degree
+    M in one int whose w-byte slot i holds coefficient i.  A divisor
+    1 - t^b paired with a factor 1 - t^a, b | a, leaves the polynomial
+    1 + t^b + ... + t^{a-b}, multiplied in by shifts and additions.  The
+    pairs go first, so the int grows from one slot rather than starting at
+    full length.  A factor 1 - t^a left over is then a shift and a
+    subtraction; a divisor 1 - t^b left over multiplies by the factors
+    1 + t^{b 2^i} with b 2^i <= M.
 
-def _div_bracket(coeffs: list[int], j: int) -> list[int]:
-    # exact division by 1 + t + ... + t^{j-1}; verified by re-multiplying
-    if len(coeffs) < j:
+    With 2^{8w} > C(1), every coefficient of Q * P and of C lies in
+    [0, C(1)], so slot arithmetic modulo t^{M+1} settles their
+    coefficients 0..M exactly.  Hence a result Q with no terms above
+    D = deg C - deg P, palindromic (so of degree exactly D, since its
+    constant term is 1), with Q(1) = C(1) / P(1) and M >= deg C / 2
+    satisfies Q * P = C: both sides are palindromic of degree deg C.  Any
+    other result raises InexactDivisionError; so does an exact quotient
+    with a negative coefficient, which no parabolic quotient has.
+    """
+    tops = Counter(a for a in numer if a > 1)
+    bottoms = Counter(b for b in denom if b > 1)
+    shared = tops & bottoms
+    tops, bottoms = tops - shared, bottoms - shared
+    top_degree = sum((a - 1) * k for a, k in tops.items())
+    degree = top_degree - sum((b - 1) * k for b, k in bottoms.items())
+    if degree < 0:
         raise InexactDivisionError("bracket degree exceeds dividend degree")
-    quot = [0] * (len(coeffs) - j + 1)
-    window = 0
-    for i in range(len(quot)):
-        qi = coeffs[i] - window
-        quot[i] = qi
-        window += qi
-        if i - j + 1 >= 0:
-            window -= quot[i - j + 1]
-    if _times_bracket(quot, j) != coeffs:
+    top_value = math.prod(a**k for a, k in tops.items())
+    width = (top_value.bit_length() + 7) // 8
+    slot = 8 * width
+    reach = max(degree, top_degree // 2)
+    mask = (1 << slot * (reach + 1)) - 1
+    # (1 - t)^{#b - #a} enters as extra factors of size 1
+    excess = tops.total() - bottoms.total()
+    numerators = sorted(itertools.chain(tops.elements(), itertools.repeat(1, -excess)))
+    divisors = sorted(
+        itertools.chain(bottoms.elements(), itertools.repeat(1, excess)), reverse=True
+    )
+    series = 1
+    unpaired = []
+    for b in divisors:
+        a = next((a for a in numerators if a % b == 0), None)
+        if a is None:
+            unpaired.append(b)
+            continue
+        numerators.remove(a)
+        # times 1 + T + ... + T^{c-1} with T = t^b, c = a / b, built from
+        # the bits of c: [2n] = [n](1 + T^n) and [2n+1] = 1 + T[2n]
+        shift = slot * b
+        out, n = series, 1
+        for bit in bin(a // b)[3:]:
+            out += out << shift * n
+            n *= 2
+            if bit == "1":
+                out = series + (out << shift)
+                n += 1
+        series = out & mask
+    for a in numerators:
+        if a <= reach:
+            series = (series - (series << slot * a)) & mask
+    for b in unpaired:
+        step = b
+        while step <= reach:
+            series = (series + (series << slot * step)) & mask
+            step *= 2
+    if series >> slot * (degree + 1):
+        raise InexactDivisionError("bracket quotient is not a polynomial")
+    raw = series.to_bytes(width * (reach + 1), "little")
+    coeffs = [
+        int.from_bytes(raw[i : i + width], "little")
+        for i in range(0, width * (degree + 1), width)
+    ]
+    bottom_value = math.prod(b**k for b, k in bottoms.items())
+    if coeffs != coeffs[::-1] or sum(coeffs) != exact_div(top_value, bottom_value):
         raise InexactDivisionError("nonzero remainder in bracket division")
-    return quot
+    return IntPolynomial(coeffs)
 
 
 @lru_cache(maxsize=None)
 def poincare_closed(family: str, rank: int) -> IntPolynomial:
     """Length generating function of the full group, as a product of
     gauss brackets; evaluates to group_order at t = 1."""
-    _check_family(family)
-    if rank < 1:
-        raise ValueError("rank must be at least 1")
-    coeffs = [1]
-    for j in _bracket_sizes(family, rank):
-        coeffs = _times_bracket(coeffs, j)
-    return IntPolynomial(coeffs)
+    _check_rank(family, rank)
+    return _bracket_quotient(_bracket_sizes(family, rank), ())
 
 
 def poincare_parabolic(factors: Sequence[tuple[str, int]]) -> IntPolynomial:
@@ -213,15 +266,11 @@ def poincare_parabolic(factors: Sequence[tuple[str, int]]) -> IntPolynomial:
 def poincare_quotient(
     family: str, rank: int, factors: Sequence[tuple[str, int]]
 ) -> IntPolynomial:
-    """poincare_closed(family, rank) divided by the parabolic product,
-    computed by exact bracketwise division."""
-    coeffs = list(poincare_closed(family, rank).coeffs)
-    for fam, r in factors:
-        for j in _bracket_sizes(fam, r):
-            if j == 1:
-                continue
-            coeffs = _div_bracket(coeffs, j)
-    return IntPolynomial(coeffs)
+    """poincare_closed(family, rank) divided by the parabolic product, as
+    one checked bracket quotient."""
+    _check_rank(family, rank)
+    denom = [j for fam, r in factors for j in _bracket_sizes(fam, r)]
+    return _bracket_quotient(_bracket_sizes(family, rank), denom)
 
 
 def parabolic_for_distribution(

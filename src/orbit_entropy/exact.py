@@ -18,6 +18,7 @@ __all__ = [
     "factorial",
     "gauss_bracket",
     "multinomial",
+    "product",
     "q_factorial",
     "q_multinomial",
 ]
@@ -61,18 +62,27 @@ def multinomial(n: int, parts: Sequence[int]) -> int:
     return out
 
 
+def product(values: Iterable[int]) -> int:
+    """Product of the values by a balanced tree, so the multiplications
+    that dominate pair factors of similar size; 1 for no values."""
+    level = list(values)
+    if not level:
+        return 1
+    while len(level) > 1:
+        paired = [a * b for a, b in zip(level[::2], level[1::2])]
+        if len(level) % 2:
+            paired.append(level[-1])
+        level = paired
+    return level[0]
+
+
 def q_factorial(k: int, q: int) -> int:
     """Product (q^k - 1)(q^{k-1} - 1) ... (q - 1); empty product for k = 0."""
     if k < 0:
         raise ValueError("q_factorial requires k >= 0")
     if q < 2:
         raise ValueError("q must be at least 2")
-    out = 1
-    power = 1
-    for _ in range(k):
-        power *= q
-        out *= power - 1
-    return out
+    return product(q**i - 1 for i in range(1, k + 1))
 
 
 def q_multinomial(n: int, parts: Sequence[int], q: int) -> int:
@@ -81,9 +91,7 @@ def q_multinomial(n: int, parts: Sequence[int], q: int) -> int:
         raise ValueError("parts must be nonnegative")
     if sum(parts) != n:
         raise ValueError(f"parts {list(parts)} do not sum to n={n}")
-    denominator = 1
-    for p in parts:
-        denominator *= q_factorial(p, q)
+    denominator = product(q_factorial(p, q) for p in parts)
     return exact_div(q_factorial(n, q), denominator)
 
 
@@ -147,16 +155,24 @@ class IntPolynomial:
         return self + (-other)
 
     def __mul__(self, other: "IntPolynomial") -> "IntPolynomial":
+        # Kronecker substitution: evaluate both factors at t = 2^(8w), make
+        # one int multiplication, and read the product's coefficients back
+        # from its w-byte slots.  Each slot is offset by half its range, so
+        # one decoding serves signed coefficients.
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return IntPolynomial()
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca == 0:
-                continue
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
-        return IntPolynomial(out)
+        bound = min(len(a), len(b)) * max(map(abs, a)) * max(map(abs, b))
+        width = bound.bit_length() // 8 + 1
+        size = len(a) + len(b) - 1
+        offset = int.from_bytes((bytes(width - 1) + b"\x80") * size, "little")
+        packed = _pack(a, width) * _pack(b, width) + offset
+        raw = packed.to_bytes(size * width, "little")
+        half = 1 << (8 * width - 1)
+        return IntPolynomial(
+            int.from_bytes(raw[i : i + width], "little") - half
+            for i in range(0, size * width, width)
+        )
 
     def __call__(self, x: int) -> int:
         out = 0
@@ -190,6 +206,14 @@ class IntPolynomial:
         if any(rem):
             raise InexactDivisionError("nonzero remainder in polynomial division")
         return IntPolynomial(quot)
+
+
+def _pack(coeffs: Sequence[int], width: int) -> int:
+    # the polynomial's value at t = 2^(8 * width); every |c| < 2^(8 * width)
+    def join(cs: Iterable[int]) -> int:
+        return int.from_bytes(b"".join(c.to_bytes(width, "little") for c in cs), "little")
+
+    return join(max(c, 0) for c in coeffs) - join(max(-c, 0) for c in coeffs)
 
 
 def gauss_bracket(j: int) -> IntPolynomial:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import math
 
 from .entropy import CoarseMap, ProbVec, pushforward
-from .exact import InexactDivisionError, q_multinomial
+from .exact import InexactDivisionError, product, q_factorial, q_multinomial
 from .report import IdentityReport
 
 __all__ = [
@@ -39,11 +39,7 @@ def gl_order(m: int, q: int) -> int:
     _check_q(q)
     if m < 0:
         raise ValueError("m must be nonnegative")
-    qm = q**m
-    out = 1
-    for i in range(m):
-        out *= qm - q**i
-    return out
+    return q ** (m * (m - 1) // 2) * q_factorial(m, q)
 
 
 def sp_order(n: int, q: int) -> int:
@@ -52,10 +48,7 @@ def sp_order(n: int, q: int) -> int:
     _check_q(q)
     if n < 0:
         raise ValueError("n must be nonnegative")
-    out = q ** (n * n)
-    for i in range(1, n + 1):
-        out *= q ** (2 * i) - 1
-    return out
+    return q ** (n * n) * product(q ** (2 * i) - 1 for i in range(1, n + 1))
 
 
 def unipotent_radical_order(s: int, n: int, q: int) -> int:
@@ -73,9 +66,9 @@ def ig_count(s: int, n: int, q: int) -> int:
     _check_q(q)
     if not 0 <= s <= n:
         raise ValueError("need 0 <= s <= n")
-    count = q_multinomial(n, (s, n - s), q)
-    for j in range(n - s + 1, n + 1):
-        count *= q**j + 1
+    count = q_multinomial(n, (s, n - s), q) * product(
+        q**j + 1 for j in range(n - s + 1, n + 1)
+    )
     # stabilizer factorization: count * |N| * |GL_s| * |Sp_{n-s}| = |Sp_n|
     check = count * unipotent_radical_order(s, n, q) * gl_order(s, q) * sp_order(n - s, q)
     if check != sp_order(n, q):
@@ -117,9 +110,9 @@ def sp_quotient_closed(n: int, dist: ProbVec, q: int) -> int:
     for j from n*p_k + 1 to n.  Cross-checked against the flag count of
     shape (n*p_1, ..., n*p_{k-1})."""
     counts = dist.scaled_counts(n)
-    count = q_multinomial(n, counts, q)
-    for j in range(counts[-1] + 1, n + 1):
-        count *= q**j + 1
+    count = q_multinomial(n, counts, q) * product(
+        q**j + 1 for j in range(counts[-1] + 1, n + 1)
+    )
     flags = isotropic_flag_count(FlagType(counts[:-1], n, q))
     if count != flags:
         raise InexactDivisionError("closed form disagrees with the flag count")
@@ -148,6 +141,5 @@ def symplectic_chain_identity_check(
         block = counts[start : start + size]
         rhs *= q_multinomial(coarse_counts[j], block, q)
         start += size
-    for j in range(counts[-1] + 1, coarse_counts[-1] + 1):
-        rhs *= q**j + 1
+    rhs *= product(q**j + 1 for j in range(counts[-1] + 1, coarse_counts[-1] + 1))
     return IdentityReport(lhs, rhs)

@@ -2,12 +2,20 @@
 separation, and determinism."""
 
 import json
+import sys
 from pathlib import Path
 
 import pytest
 
 from orbit_entropy import cli
+from orbit_entropy.cli import _unlimited_int_digits
+from orbit_entropy.entropy import CoarseMap, ProbVec
 from orbit_entropy.report import IdentityReport
+from orbit_entropy.symplectic import (
+    FlagType,
+    isotropic_flag_count,
+    symplectic_chain_identity_check,
+)
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -229,3 +237,37 @@ def test_every_json_line_parses(capsys):
     for line in out.splitlines():
         record = json.loads(line)
         assert record["command"] == "converge"
+
+
+def test_count_past_the_int_digit_limit_prints(capsys):
+    # 256,624 decimal digits, far past CPython's default 4300-digit limit
+    argv = ["count", "symplectic", "--n", "1024", "--q", "2", "--dist", "1/4,1/4,1/2"]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 0 and err == ""
+    counts = ProbVec(("1/4", "1/4", "1/2")).scaled_counts(1024)
+    expected = isotropic_flag_count(FlagType(counts, 1024, 2))
+    with _unlimited_int_digits():
+        assert int(json.loads(out)["value"]) == expected
+
+
+def test_chain_check_past_the_int_digit_limit_prints(capsys):
+    argv = [
+        "chain-check", "--target", "symplectic-cardinality", "--n", "200",
+        "--q", "2", "--dist", "1/4,1/4,1/2", "--blocks", "2,1",
+    ]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 0 and err == ""
+    record = json.loads(out)
+    expected = symplectic_chain_identity_check(
+        200, ProbVec(("1/4", "1/4", "1/2")), CoarseMap((2, 1)), 2
+    )
+    with _unlimited_int_digits():
+        assert int(record["lhs"]) == int(record["rhs"]) == expected.lhs
+    assert record["residual"] == "0" and record["holds"] is True
+
+
+def test_digit_limit_is_restored_after_main(capsys):
+    limit = getattr(sys, "get_int_max_str_digits", None)
+    before = limit() if limit else None
+    run_cli(["count", "isotropic", "--s", "1", "--n", "2", "--q", "2"], capsys)
+    assert (limit() if limit else None) == before

@@ -1,6 +1,7 @@
 """Diagram combinatorics: node removal, component typing, group orders,
 and the length generating polynomials."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from orbit_entropy.dynkin import (
     Diagram,
+    _bracket_quotient,
     group_order,
     parabolic_for_distribution,
     parabolic_order,
@@ -18,7 +20,7 @@ from orbit_entropy.dynkin import (
     surviving_components,
 )
 from orbit_entropy.entropy import ProbVec
-from orbit_entropy.exact import IntPolynomial
+from orbit_entropy.exact import InexactDivisionError, IntPolynomial
 
 
 def test_group_order_table():
@@ -238,3 +240,112 @@ def test_parabolic_for_distribution_orders_multiply_correctly():
     _, _, factors = parabolic_for_distribution("B", 4, ProbVec(("1/2", "1/2")))
     assert factors == [("A", 1), ("B", 1)]
     assert parabolic_order(factors) == 2 * 2
+
+
+# Reference: the bracket-by-bracket arithmetic the series quotient replaced.
+# The group polynomial is built one bracket at a time, then divided by each
+# parabolic bracket, and every division is re-verified by multiplying back.
+
+
+def _ref_bracket_sizes(family, rank):
+    if family == "A":
+        return tuple(range(2, rank + 2))
+    if family in ("B", "C"):
+        return tuple(2 * i for i in range(1, rank + 1))
+    return (rank,) + tuple(2 * i for i in range(1, rank))
+
+
+def _ref_times_bracket(coeffs, j):
+    out = []
+    acc = 0
+    n = len(coeffs)
+    for i in range(n + j - 1):
+        if i < n:
+            acc += coeffs[i]
+        if i - j >= 0:
+            acc -= coeffs[i - j]
+        out.append(acc)
+    return out
+
+
+def _ref_div_bracket(coeffs, j):
+    if len(coeffs) < j:
+        raise InexactDivisionError("bracket degree exceeds dividend degree")
+    quot = [0] * (len(coeffs) - j + 1)
+    window = 0
+    for i in range(len(quot)):
+        qi = coeffs[i] - window
+        quot[i] = qi
+        window += qi
+        if i - j + 1 >= 0:
+            window -= quot[i - j + 1]
+    if _ref_times_bracket(quot, j) != coeffs:
+        raise InexactDivisionError("nonzero remainder in bracket division")
+    return quot
+
+
+def _ref_closed(family, rank):
+    coeffs = [1]
+    for j in _ref_bracket_sizes(family, rank):
+        coeffs = _ref_times_bracket(coeffs, j)
+    return IntPolynomial(coeffs)
+
+
+def _ref_quotient(family, rank, factors):
+    coeffs = list(_ref_closed(family, rank).coeffs)
+    for fam, r in factors:
+        for j in _ref_bracket_sizes(fam, r):
+            if j > 1:
+                coeffs = _ref_div_bracket(coeffs, j)
+    return IntPolynomial(coeffs)
+
+
+FAMILY_RANKS = [
+    (family, rank)
+    for family in ("A", "B", "C", "D")
+    for rank in range(2 if family == "D" else 1, 11)
+]
+
+
+@pytest.mark.parametrize("family,rank", FAMILY_RANKS)
+def test_series_quotient_matches_bracket_division(family, rank):
+    poincare_closed.cache_clear()
+    assert poincare_closed(family, rank) == _ref_closed(family, rank)
+    diagram = Diagram(family, rank)
+    for size in range(rank + 1):
+        for removed in itertools.combinations(range(1, rank + 1), size):
+            factors = remove_nodes(diagram, removed)
+            assert poincare_quotient(family, rank, factors) == _ref_quotient(
+                family, rank, factors
+            )
+
+
+@pytest.mark.parametrize(
+    "family,rank,factors",
+    [
+        ("B", 3, [("A", 1)] * 4),
+        ("A", 4, [("A", 2), ("A", 2)]),
+        ("A", 2, [("B", 2)]),
+        ("A", 3, [("A", 1)] * 3),
+        ("D", 4, [("A", 1)] * 5),
+    ],
+)
+def test_non_divisible_quotient_raises(family, rank, factors):
+    with pytest.raises(InexactDivisionError):
+        _ref_quotient(family, rank, factors)
+    with pytest.raises(InexactDivisionError):
+        poincare_quotient(family, rank, factors)
+
+
+@pytest.mark.parametrize(
+    "numer,denom",
+    [
+        # each passes every end check but the one named
+        ((4, 6, 6, 9), (8, 2, 3)),  # palindromy
+        ((3, 8, 6, 1, 5), (9, 5, 2, 4)),  # no terms between D and deg C / 2
+        ((5, 7, 9), (9, 2, 2, 7)),  # the value at t = 1
+    ],
+)
+def test_every_end_check_is_needed(numer, denom):
+    with pytest.raises(InexactDivisionError):
+        _bracket_quotient(numer, denom)

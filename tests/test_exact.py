@@ -13,6 +13,7 @@ from orbit_entropy.exact import (
     factorial,
     gauss_bracket,
     multinomial,
+    product,
     q_factorial,
     q_multinomial,
 )
@@ -160,6 +161,55 @@ def test_polynomial_product_divides_back(a, b):
 def test_polynomial_product_matches_pointwise(a, b, x):
     pa, pb = IntPolynomial(a), IntPolynomial(b)
     assert (pa * pb)(x) == pa(x) * pb(x)
+
+
+def _schoolbook(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        for j, cb in enumerate(b):
+            out[i + j] += ca * cb
+    return IntPolynomial(out)
+
+
+wide_coeffs = st.lists(
+    st.one_of(st.just(0), st.integers(-(2**300), 2**300)), min_size=1, max_size=12
+)
+
+
+@given(wide_coeffs, wide_coeffs)
+def test_polynomial_product_matches_schoolbook(a, b):
+    # signed, zero and 300-bit coefficients through the packed multiply
+    assert IntPolynomial(a) * IntPolynomial(b) == _schoolbook(a, b)
+
+
+def test_polynomial_product_edge_cases():
+    zero, one = IntPolynomial(), IntPolynomial.one()
+    p = IntPolynomial((-(2**300), 0, 2**300 - 1, -1))
+    assert p * zero == zero * p == zero
+    assert p * one == p
+    assert p * p == _schoolbook(p.coeffs, p.coeffs)
+    # every slot at the edge of its range: (2^k - 1)(1 + t + ...) squared
+    q = IntPolynomial((2**64 - 1,) * 9)
+    assert (q * q).coeffs == _schoolbook(q.coeffs, q.coeffs).coeffs
+    assert (-q * q).coeffs == tuple(-c for c in (q * q).coeffs)
+
+
+def test_product_is_the_left_to_right_product():
+    assert product([]) == 1
+    assert product([7]) == 7
+    for k in range(1, 40):
+        values = [3**i - (-1) ** i for i in range(k)]
+        assert product(values) == math.prod(values)
+    assert product(iter([2, 3, 5])) == 30
+
+
+@pytest.mark.parametrize("q", (2, 3, 4, 5, 7))
+def test_q_factorial_matches_left_to_right_product(q):
+    out, power = 1, 1
+    for k in range(201):
+        assert q_factorial(k, q) == out
+        power *= q
+        out *= power - 1
 
 
 def test_gauss_bracket_shape():

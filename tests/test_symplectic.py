@@ -41,6 +41,34 @@ def test_sp_order_values():
     assert sp_order(2, 3) == 51840
 
 
+@pytest.mark.parametrize("q", (2, 3, 4, 5, 7))
+def test_orders_match_left_to_right_products(q):
+    assert sp_order(0, q) == 1
+    tail = 1
+    for k in range(1, 201):
+        tail *= q ** (2 * k) - 1
+        assert sp_order(k, q) == q ** (k * k) * tail
+    for k in range(0, 201, 8):
+        gl = 1
+        for i in range(k):
+            gl *= q**k - q**i
+        assert gl_order(k, q) == gl
+
+
+@pytest.mark.parametrize("q", (2, 3, 4, 5, 7))
+def test_ig_count_matches_left_to_right_product(q):
+    # Gaussian binomial times the (q^j + 1) tail, both taken one factor at a time
+    for n in range(0, 201, 20):
+        for s in sorted({0, min(n, 1), n // 3, n // 2, n}):
+            binom = 1
+            for i in range(s):
+                binom = binom * (q ** (n - i) - 1) // (q ** (i + 1) - 1)
+            tail = 1
+            for j in range(n - s + 1, n + 1):
+                tail *= q**j + 1
+            assert ig_count(s, n, q) == binom * tail
+
+
 def test_unipotent_radical_order_values():
     assert unipotent_radical_order(0, 5, 3) == 1
     assert unipotent_radical_order(1, 2, 2) == 2 ** 3

@@ -8,7 +8,7 @@ cases against direct enumeration.
 """
 
 from orbit_entropy import oracle
-from orbit_entropy.exact import gauss_bracket, multinomial, q_multinomial
+from orbit_entropy.exact import IntPolynomial, multinomial, q_multinomial
 
 print("== type classes ==")
 for counts in ((2, 2), (1, 2, 3), (4, 1)):
@@ -35,8 +35,8 @@ print("== brackets as polynomials ==")
 print("  each factor (q^j - 1)/(q - 1) is a polynomial 1 + q + ... + q^(j-1);")
 print("  products of brackets are length generating functions later on")
 for j in (2, 3, 4):
-    poly = gauss_bracket(j)
+    poly = IntPolynomial((1,) * j)
     print(f"  bracket {j}: coefficients {poly.coeffs}, value at q=2 is {poly(2)}")
 
-product = gauss_bracket(2) * gauss_bracket(3)
+product = IntPolynomial((1,) * 2) * IntPolynomial((1,) * 3)
 print(f"  bracket 2 times bracket 3: {product.coeffs}")

@@ -37,8 +37,6 @@ from .exact import (
     InexactDivisionError,
     IntPolynomial,
     exact_div,
-    factorial,
-    gauss_bracket,
     multinomial,
     q_factorial,
     q_multinomial,
@@ -91,8 +89,6 @@ __all__ = [
     "InexactDivisionError",
     "IntPolynomial",
     "exact_div",
-    "factorial",
-    "gauss_bracket",
     "multinomial",
     "q_factorial",
     "q_multinomial",

@@ -227,62 +227,41 @@ def _cmd_entropy(args: argparse.Namespace) -> tuple[list[dict], int]:
 def _cmd_converge(args: argparse.Namespace) -> tuple[list[dict], int]:
     dist = _parse_dist(args.dist)
     schedule = _parse_schedule(args.n)
-    records = []
-    if args.kind == "reflection":
-        _require(args, ("family",), "converge reflection")
-        for n in schedule:
-            try:
-                counts = dist.scaled_counts(n)
-            except ValueError:
-                raise ValueError(
-                    f"n={n} is not admissible for this distribution: "
-                    "every n*p must be an integer"
-                )
-            if any(c <= 3 for c in counts):
-                raise ValueError(
-                    f"n={n} is not admissible for this distribution: "
-                    "every n*p must exceed 3"
-                )
+    reflection = args.kind == "reflection"
+    key = "family" if reflection else "q"
+    _require(args, (key,), f"converge {args.kind}")
+    for n in schedule:
+        try:
+            counts = dist.scaled_counts(n)
+        except ValueError:
+            raise ValueError(
+                f"n={n} is not admissible for this distribution: "
+                "every n*p must be an integer"
+            )
+        if reflection and any(c <= 3 for c in counts):
+            raise ValueError(
+                f"n={n} is not admissible for this distribution: "
+                "every n*p must exceed 3"
+            )
+    if reflection:
         limit = reflective(dist)
-        for n in schedule:
-            value = normalized_log_orbit(args.family, n, dist)
-            records.append(
-                {
-                    "command": "converge",
-                    "kind": "reflection",
-                    "family": args.family,
-                    "dist": _dist_str(dist),
-                    "n": n,
-                    "value": _fmt_float(value),
-                    "limit": _fmt_float(limit),
-                    "error": _fmt_error(abs(value - limit)),
-                }
-            )
+        values = (normalized_log_orbit(args.family, n, dist) for n in schedule)
     else:
-        _require(args, ("q",), "converge symplectic")
-        for n in schedule:
-            try:
-                dist.scaled_counts(n)
-            except ValueError:
-                raise ValueError(
-                    f"n={n} is not admissible for this distribution: "
-                    "every n*p must be an integer"
-                )
         limit = float(symplectic_entropy(dist))
-        for n in schedule:
-            value = normalized_logq_quotient(n, dist, args.q)
-            records.append(
-                {
-                    "command": "converge",
-                    "kind": "symplectic",
-                    "q": args.q,
-                    "dist": _dist_str(dist),
-                    "n": n,
-                    "value": _fmt_float(value),
-                    "limit": _fmt_float(limit),
-                    "error": _fmt_error(abs(value - limit)),
-                }
-            )
+        values = (normalized_logq_quotient(n, dist, args.q) for n in schedule)
+    records = [
+        {
+            "command": "converge",
+            "kind": args.kind,
+            key: getattr(args, key),
+            "dist": _dist_str(dist),
+            "n": n,
+            "value": _fmt_float(value),
+            "limit": _fmt_float(limit),
+            "error": _fmt_error(abs(value - limit)),
+        }
+        for n, value in zip(schedule, values)
+    ]
     return records, 0
 
 
@@ -313,39 +292,21 @@ def _cmd_chain_check(args: argparse.Namespace) -> tuple[list[dict], int]:
         res = symplectic_chain_residual(dist, cmap)
         ok = res == 0
         rec.update(lhs=str(lhs), rhs=str(lhs - res), residual=str(res))
-    elif args.target == "reflective-cardinality":
-        _require(args, ("family", "n"), "this target")
-        report = coarsening_cardinality_check(args.family, args.n, dist, cmap)
-        ok = report.holds
-        rec.update(
-            family=args.family,
-            n=args.n,
-            lhs=str(report.lhs),
-            rhs=str(report.rhs),
-            residual=str(report.residual),
-        )
-    elif args.target == "symplectic-cardinality":
-        _require(args, ("n", "q"), "this target")
-        report = symplectic_chain_identity_check(args.n, dist, cmap, args.q)
-        ok = report.holds
-        rec.update(
-            n=args.n,
-            q=args.q,
-            lhs=str(report.lhs),
-            rhs=str(report.rhs),
-            residual=str(report.residual),
-        )
     else:
-        _require(args, ("family", "n"), "the poincare target")
-        report = coarsening_poincare_check(args.family, args.n, dist, cmap)
+        poincare = args.target == "poincare"
+        if args.target == "symplectic-cardinality":
+            _require(args, ("n", "q"), "this target")
+            report = symplectic_chain_identity_check(args.n, dist, cmap, args.q)
+            rec.update(n=args.n, q=args.q)
+        else:
+            context = "the poincare target" if poincare else "this target"
+            _require(args, ("family", "n"), context)
+            check = coarsening_poincare_check if poincare else coarsening_cardinality_check
+            report = check(args.family, args.n, dist, cmap)
+            rec.update(family=args.family, n=args.n)
+        fmt = _poly_str if poincare else str
         ok = report.holds
-        rec.update(
-            family=args.family,
-            n=args.n,
-            lhs=_poly_str(report.lhs),
-            rhs=_poly_str(report.rhs),
-            residual=_poly_str(report.residual),
-        )
+        rec.update(lhs=fmt(report.lhs), rhs=fmt(report.rhs), residual=fmt(report.residual))
     rec["holds"] = ok
     return [rec], 0 if ok else 1
 

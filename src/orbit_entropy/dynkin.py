@@ -20,7 +20,7 @@ from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .entropy import ProbVec
-from .exact import InexactDivisionError, IntPolynomial, exact_div, factorial
+from .exact import InexactDivisionError, IntPolynomial, exact_div
 
 __all__ = [
     "FAMILIES",
@@ -47,21 +47,14 @@ class Diagram:
     rank: int
 
     def __post_init__(self) -> None:
-        if self.family not in FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}")
-        if self.rank < 1:
-            raise ValueError("rank must be at least 1")
+        _check_rank(self.family, self.rank)
         if self.family == "D" and self.rank < 2:
             raise ValueError("family D requires rank >= 2")
 
 
-def _check_family(family: str) -> None:
+def _check_rank(family: str, rank: int) -> None:
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
-
-
-def _check_rank(family: str, rank: int) -> None:
-    _check_family(family)
     if rank < 1:
         raise ValueError("rank must be at least 1")
 
@@ -143,10 +136,10 @@ def group_order(family: str, rank: int) -> int:
     """
     _check_rank(family, rank)
     if family == "A":
-        return factorial(rank + 1)
+        return math.factorial(rank + 1)
     if family in ("B", "C"):
-        return (1 << rank) * factorial(rank)
-    return (1 << (rank - 1)) * factorial(rank)
+        return (1 << rank) * math.factorial(rank)
+    return (1 << (rank - 1)) * math.factorial(rank)
 
 
 def parabolic_order(factors: Sequence[tuple[str, int]]) -> int:
@@ -248,7 +241,9 @@ def _bracket_quotient(numer: Sequence[int], denom: Sequence[int]) -> IntPolynomi
     return IntPolynomial(coeffs)
 
 
-@lru_cache(maxsize=None)
+# a full oracle-verify needs 11 entries; the bound keeps long rank sweeps
+# from holding every coefficient list they ever built
+@lru_cache(maxsize=32)
 def poincare_closed(family: str, rank: int) -> IntPolynomial:
     """Length generating function of the full group, as a product of
     gauss brackets; evaluates to group_order at t = 1."""
@@ -267,8 +262,11 @@ def poincare_quotient(
     family: str, rank: int, factors: Sequence[tuple[str, int]]
 ) -> IntPolynomial:
     """poincare_closed(family, rank) divided by the parabolic product, as
-    one checked bracket quotient."""
+    one checked bracket quotient.  Factors are validated as in
+    parabolic_order, so both gradings accept the same lists."""
     _check_rank(family, rank)
+    for fam, r in factors:
+        _check_rank(fam, r)
     denom = [j for fam, r in factors for j in _bracket_sizes(fam, r)]
     return _bracket_quotient(_bracket_sizes(family, rank), denom)
 

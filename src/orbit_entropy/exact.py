@@ -15,8 +15,6 @@ __all__ = [
     "InexactDivisionError",
     "IntPolynomial",
     "exact_div",
-    "factorial",
-    "gauss_bracket",
     "multinomial",
     "product",
     "q_factorial",
@@ -36,12 +34,6 @@ def exact_div(numerator: int, denominator: int) -> int:
             f"{numerator} is not divisible by {denominator}"
         )
     return quotient
-
-
-def factorial(n: int) -> int:
-    if n < 0:
-        raise ValueError("factorial requires n >= 0")
-    return math.factorial(n)
 
 
 def multinomial(n: int, parts: Sequence[int]) -> int:
@@ -180,33 +172,6 @@ class IntPolynomial:
             out = out * x + c
         return out
 
-    def div_exact(self, divisor: "IntPolynomial") -> "IntPolynomial":
-        """Long division over the integers; any remainder is an error."""
-        if divisor.is_zero:
-            raise ZeroDivisionError("polynomial division by zero")
-        if self.is_zero:
-            return IntPolynomial()
-        if self.degree < divisor.degree:
-            raise InexactDivisionError("divisor degree exceeds dividend degree")
-        rem = list(self.coeffs)
-        dcs = divisor.coeffs
-        dd = divisor.degree
-        lead = dcs[-1]
-        quot = [0] * (len(rem) - len(dcs) + 1)
-        for i in range(len(quot) - 1, -1, -1):
-            c = rem[i + dd]
-            if c == 0:
-                continue
-            f, r = divmod(c, lead)
-            if r:
-                raise InexactDivisionError("nonzero remainder in polynomial division")
-            quot[i] = f
-            for j, dc in enumerate(dcs):
-                rem[i + j] -= f * dc
-        if any(rem):
-            raise InexactDivisionError("nonzero remainder in polynomial division")
-        return IntPolynomial(quot)
-
 
 def _pack(coeffs: Sequence[int], width: int) -> int:
     # the polynomial's value at t = 2^(8 * width); every |c| < 2^(8 * width)
@@ -215,9 +180,3 @@ def _pack(coeffs: Sequence[int], width: int) -> int:
 
     return join(max(c, 0) for c in coeffs) - join(max(-c, 0) for c in coeffs)
 
-
-def gauss_bracket(j: int) -> IntPolynomial:
-    """The polynomial 1 + t + ... + t^{j-1}."""
-    if j < 1:
-        raise ValueError("gauss_bracket requires j >= 1")
-    return IntPolynomial((1,) * j)

@@ -34,6 +34,11 @@ def _check_q(q: int) -> None:
         raise ValueError("field size q must be at least 2")
 
 
+def _plus_one_tail(lo: int, hi: int, q: int) -> int:
+    # product of (q^j + 1) for j from lo + 1 to hi; 1 when lo >= hi
+    return product(q**j + 1 for j in range(lo + 1, hi + 1))
+
+
 def gl_order(m: int, q: int) -> int:
     """Order of GL_m(F_q); 1 when m = 0."""
     _check_q(q)
@@ -66,9 +71,7 @@ def ig_count(s: int, n: int, q: int) -> int:
     _check_q(q)
     if not 0 <= s <= n:
         raise ValueError("need 0 <= s <= n")
-    count = q_multinomial(n, (s, n - s), q) * product(
-        q**j + 1 for j in range(n - s + 1, n + 1)
-    )
+    count = q_multinomial(n, (s, n - s), q) * _plus_one_tail(n - s, n, q)
     # stabilizer factorization: count * |N| * |GL_s| * |Sp_{n-s}| = |Sp_n|
     check = count * unipotent_radical_order(s, n, q) * gl_order(s, q) * sp_order(n - s, q)
     if check != sp_order(n, q):
@@ -110,9 +113,7 @@ def sp_quotient_closed(n: int, dist: ProbVec, q: int) -> int:
     for j from n*p_k + 1 to n.  Cross-checked against the flag count of
     shape (n*p_1, ..., n*p_{k-1})."""
     counts = dist.scaled_counts(n)
-    count = q_multinomial(n, counts, q) * product(
-        q**j + 1 for j in range(counts[-1] + 1, n + 1)
-    )
+    count = q_multinomial(n, counts, q) * _plus_one_tail(counts[-1], n, q)
     flags = isotropic_flag_count(FlagType(counts[:-1], n, q))
     if count != flags:
         raise InexactDivisionError("closed form disagrees with the flag count")
@@ -141,5 +142,5 @@ def symplectic_chain_identity_check(
         block = counts[start : start + size]
         rhs *= q_multinomial(coarse_counts[j], block, q)
         start += size
-    rhs *= product(q**j + 1 for j in range(counts[-1] + 1, coarse_counts[-1] + 1))
+    rhs *= _plus_one_tail(counts[-1], coarse_counts[-1], q)
     return IdentityReport(lhs, rhs)

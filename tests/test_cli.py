@@ -78,6 +78,45 @@ GOLDEN_CASES = [
         ],
         "chain_poincare_a6.jsonl",
     ),
+    (
+        [
+            "chain-check", "--target", "reflective-cardinality", "--family", "B",
+            "--n", "8", "--dist", "1/4,1/4,1/2", "--blocks", "2,1",
+        ],
+        "chain_reflective_card_b8.jsonl",
+    ),
+    (
+        [
+            "chain-check", "--target", "reflective-cardinality", "--family", "D",
+            "--n", "12", "--dist", "1/3,1/6,1/2", "--blocks", "1,2",
+        ],
+        "chain_reflective_card_d12.jsonl",
+    ),
+    (
+        [
+            "chain-check", "--target", "poincare", "--family", "D", "--n", "8",
+            "--dist", "1/4,1/4,1/2", "--blocks", "2,1",
+        ],
+        "chain_poincare_d8.jsonl",
+    ),
+    (
+        [
+            "chain-check", "--target", "symplectic-entropy",
+            "--dist", "1/4,1/4,1/2", "--blocks", "2,1",
+        ],
+        "chain_symplectic_entropy.jsonl",
+    ),
+    (
+        ["converge", "reflection", "--family", "D", "--dist", "1/2,1/2", "--n", "8,16,32"],
+        "converge_reflection_d.jsonl",
+    ),
+    (
+        [
+            "converge", "symplectic", "--q", "3", "--dist", "1/4,1/4,1/2",
+            "--n", "8,16", "--format", "csv",
+        ],
+        "converge_symplectic_q3.csv",
+    ),
 ]
 
 
@@ -189,6 +228,41 @@ def test_missing_required_flag_is_a_parse_error(capsys):
     code, _, err = run_cli(["count", "reflection", "--n", "4", "--dist", "1/2,1/2"], capsys)
     assert code == 2
     assert "family" in err
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (
+            ["converge", "reflection", "--dist", "1/2,1/2", "--n", "8"],
+            "--family is required for converge reflection",
+        ),
+        (
+            ["converge", "symplectic", "--dist", "1/2,1/2", "--n", "8"],
+            "--q is required for converge symplectic",
+        ),
+        (
+            ["chain-check", "--target", "poincare", "--dist", "1/2,1/2",
+             "--blocks", "1,1", "--n", "8"],
+            "--family is required for the poincare target",
+        ),
+        (
+            ["chain-check", "--target", "reflective-cardinality", "--dist", "1/2,1/2",
+             "--blocks", "1,1", "--family", "B"],
+            "--n is required for this target",
+        ),
+        (
+            ["chain-check", "--target", "symplectic-cardinality", "--dist", "1/2,1/2",
+             "--blocks", "1,1", "--n", "8"],
+            "--q is required for this target",
+        ),
+    ],
+)
+def test_missing_target_flag_message(argv, message, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
 
 
 def test_unknown_subcommand_exits_two():

@@ -199,6 +199,26 @@ def test_poincare_quotient_value_at_one_is_index(case):
     )
 
 
+@pytest.mark.parametrize(
+    "factors", ([("E", 2)], [("A", 0)], [("A", -3)], [("X", 1)]), ids=repr
+)
+def test_both_gradings_reject_the_same_factors(factors):
+    # the int quotient and the length-graded quotient accept the same lists
+    with pytest.raises(ValueError):
+        parabolic_order(factors)
+    with pytest.raises(ValueError):
+        poincare_quotient("A", 5, factors)
+
+
+def test_poincare_closed_cache_is_bounded():
+    maxsize = poincare_closed.cache_info().maxsize
+    # a full oracle-verify uses 11 entries; all of them stay cached
+    assert maxsize is not None and maxsize >= 11
+    for rank in range(1, 41):
+        poincare_closed("B", rank)
+    assert poincare_closed.cache_info().currsize <= maxsize
+
+
 def test_parabolic_for_distribution_chain():
     diagram, cuts, factors = parabolic_for_distribution(
         "A", 6, ProbVec(("1/6", "2/6", "3/6"))

@@ -10,8 +10,6 @@ from orbit_entropy.exact import (
     InexactDivisionError,
     IntPolynomial,
     exact_div,
-    factorial,
-    gauss_bracket,
     multinomial,
     product,
     q_factorial,
@@ -38,11 +36,6 @@ def test_exact_div_rejects_zero_divisor():
 @given(st.integers(-10**12, 10**12), st.integers(1, 10**9))
 def test_exact_div_inverts_multiplication(a, b):
     assert exact_div(a * b, b) == a
-
-
-def test_factorial_agrees_with_math():
-    for n in (0, 1, 2, 5, 20, 100):
-        assert factorial(n) == math.factorial(n)
 
 
 def test_multinomial_values():
@@ -135,26 +128,7 @@ def test_polynomial_arithmetic():
     assert IntPolynomial.one()(999) == 1
 
 
-def test_polynomial_div_exact_roundtrip():
-    p = IntPolynomial((1, 2, 1))
-    d = IntPolynomial((1, 1))
-    assert p.div_exact(d).coeffs == (1, 1)
-
-
-def test_polynomial_div_exact_rejects_remainder():
-    with pytest.raises(InexactDivisionError):
-        IntPolynomial((1, 1, 1)).div_exact(IntPolynomial((1, 1)))
-
-
 coeff_lists = st.lists(st.integers(-9, 9), min_size=1, max_size=8)
-
-
-@given(coeff_lists, coeff_lists)
-def test_polynomial_product_divides_back(a, b):
-    pa, pb = IntPolynomial(a), IntPolynomial(b)
-    if pb.is_zero:
-        return
-    assert (pa * pb).div_exact(pb) == pa
 
 
 @given(coeff_lists, coeff_lists, st.integers(-5, 5))
@@ -210,12 +184,6 @@ def test_q_factorial_matches_left_to_right_product(q):
         assert q_factorial(k, q) == out
         power *= q
         out *= power - 1
-
-
-def test_gauss_bracket_shape():
-    assert gauss_bracket(1) == IntPolynomial.one()
-    assert gauss_bracket(4).coeffs == (1, 1, 1, 1)
-    assert gauss_bracket(3)(2) == 7  # evaluates to the q-integer
 
 
 def test_q_multinomial_is_gauss_bracket_evaluation():

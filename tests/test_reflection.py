@@ -144,3 +144,15 @@ def test_coarsening_poincare_identity(case):
 def test_orbit_count_rejects_non_integral_split():
     with pytest.raises(ValueError):
         orbit_count("B", 5, HALF)
+
+
+@given(coarsening_case())
+@settings(max_examples=100, deadline=None)
+def test_cardinality_is_the_poincare_grading_at_one(case):
+    # |W/W_P| is the length generating function of W^P at t = 1, so the two
+    # gradings of the coarsening identity carry the same values
+    family, n, dist, cmap = case
+    card = coarsening_cardinality_check(family, n, dist, cmap)
+    poly = coarsening_poincare_check(family, n, dist, cmap)
+    assert card.lhs == poly.lhs(1)
+    assert card.rhs == poly.rhs(1)

@@ -10,6 +10,7 @@ functionals that need them.
 from .dynkin import (
     FAMILIES,
     Diagram,
+    flag_factors,
     group_order,
     parabolic_for_distribution,
     parabolic_order,
@@ -48,7 +49,7 @@ from .reflection import (
     orbit_count,
     orbit_poincare,
 )
-from .report import IdentityReport
+from .report import IdentityReport, chain_rule_check
 from .symplectic import (
     FlagType,
     gl_order,
@@ -66,6 +67,7 @@ __version__ = "0.1.0"
 __all__ = [
     "FAMILIES",
     "Diagram",
+    "flag_factors",
     "group_order",
     "parabolic_for_distribution",
     "parabolic_order",
@@ -98,6 +100,7 @@ __all__ = [
     "orbit_count",
     "orbit_poincare",
     "IdentityReport",
+    "chain_rule_check",
     "FlagType",
     "gl_order",
     "ig_count",

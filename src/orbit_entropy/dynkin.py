@@ -25,6 +25,7 @@ from .exact import InexactDivisionError, IntPolynomial, exact_div
 __all__ = [
     "FAMILIES",
     "Diagram",
+    "flag_factors",
     "group_order",
     "parabolic_for_distribution",
     "parabolic_order",
@@ -271,29 +272,29 @@ def poincare_quotient(
     return _bracket_quotient(_bracket_sizes(family, rank), denom)
 
 
+def flag_factors(family: str, counts: Sequence[int]) -> ParabolicType:
+    """Factor list [A(c_1 - 1), ..., A(c_{k-1} - 1), family(c_k - 1)] of
+    the stabilizer for the scaled counts c = n*P, rank-0 factors dropped.
+
+    It equals remove_nodes on the rank n-1 diagram cut at the partial sums
+    of c, except for family D with c_k = 2: the list keeps a (D, 1) tail
+    of order 1 and Poincare polynomial 1, preserving the uniform closed
+    form, where the fork geometry would join the surviving tip to the
+    block before it in one type-A component.
+    """
+    *head, last = counts
+    factors: ParabolicType = [("A", c - 1) for c in head if c >= 2]
+    if last >= 2:
+        factors.append((family, last - 1))
+    return factors
+
+
 def parabolic_for_distribution(
     family: str, n: int, dist: ProbVec
 ) -> tuple[Diagram, tuple[int, ...], ParabolicType]:
     """Diagram of rank n-1, the removal set cut at the partial sums of
-    n*P, and the factor list [A(np_1 - 1), ..., A(np_{k-1} - 1),
-    family(np_k - 1)] with rank-0 factors dropped.
-
-    For family D with np_k = 2 the factor list keeps the degenerate
-    (D, 1) tail of order 1 rather than re-deriving components from the
-    fork geometry; this preserves the uniform closed-form quotient.  In
-    every other case the list equals remove_nodes on the same removal
-    set.
-    """
+    n*P, and the flag_factors of n*P."""
     counts = dist.scaled_counts(n)
     diagram = Diagram(family, n - 1)
-    cuts = []
-    acc = 0
-    for c in counts[:-1]:
-        acc += c
-        cuts.append(acc)
-    factors: ParabolicType = []
-    for i, c in enumerate(counts):
-        fam = family if i == len(counts) - 1 else "A"
-        if c >= 2:
-            factors.append((fam, c - 1))
-    return diagram, tuple(cuts), factors
+    cuts = tuple(itertools.accumulate(counts[:-1]))
+    return diagram, cuts, flag_factors(family, counts)

@@ -10,20 +10,18 @@ admissible set N_P.
 from __future__ import annotations
 
 import math
+from functools import partial
 
 from .dynkin import (
-    Diagram,
     ParabolicType,
+    flag_factors,
     group_order,
-    parabolic_for_distribution,
     parabolic_order,
     poincare_quotient,
-    remove_nodes,
-    surviving_components,
 )
-from .entropy import CoarseMap, ProbVec, pushforward
+from .entropy import CoarseMap, ProbVec
 from .exact import IntPolynomial, exact_div
-from .report import IdentityReport
+from .report import IdentityReport, chain_rule_check
 
 __all__ = [
     "orbit_count",
@@ -40,11 +38,10 @@ def _index(family: str, rank: int, factors: ParabolicType) -> int:
 
 
 def _orbit(family: str, n: int, dist: ProbVec, quotient, one):
+    counts = dist.scaled_counts(n)
     if n == 1:
-        dist.scaled_counts(1)
         return one
-    _, _, factors = parabolic_for_distribution(family, n, dist)
-    return quotient(family, n - 1, factors)
+    return quotient(family, n - 1, flag_factors(family, counts))
 
 
 def orbit_count(family: str, n: int, dist: ProbVec) -> int:
@@ -65,42 +62,15 @@ def normalized_log_orbit(family: str, n: int, dist: ProbVec) -> float:
     return math.log(orbit_count(family, n, dist)) / n
 
 
-def _coarsening_check(
-    family: str, n: int, dist: ProbVec, cmap: CoarseMap, quotient
-) -> IdentityReport:
-    """Both sides of the identity relating the fine quotient to the coarse
-    quotient times per-component subquotients, in the grading of
-    ``quotient``: the index for cardinalities, poincare_quotient for
-    length generating functions.
-
-    Components are taken from the diagram graph itself; a coarse
-    component shared with the fine removal (same index set) contributes
-    nothing and is skipped.
-    """
-    coarse = pushforward(dist, cmap)
-    diagram, fine_cuts, _ = parabolic_for_distribution(family, n, dist)
-    _, coarse_cuts, _ = parabolic_for_distribution(family, n, coarse)
-    if not set(coarse_cuts) <= set(fine_cuts):
-        raise ValueError("coarse removal set is not nested inside the fine one")
-    lhs = quotient(family, diagram.rank, remove_nodes(diagram, fine_cuts))
-    rhs = quotient(family, diagram.rank, remove_nodes(diagram, coarse_cuts))
-    shared = {nodes for nodes, _ in surviving_components(diagram, fine_cuts)}
-    extra = set(fine_cuts) - set(coarse_cuts)
-    for nodes, fam in surviving_components(diagram, coarse_cuts):
-        if nodes in shared:
-            continue
-        pos = {v: i + 1 for i, v in enumerate(nodes)}
-        local = tuple(pos[c] for c in sorted(extra & set(nodes)))
-        sub = Diagram(fam, len(nodes))
-        rhs *= quotient(fam, len(nodes), remove_nodes(sub, local))
-    return IdentityReport(lhs, rhs)
-
-
 def coarsening_cardinality_check(
     family: str, n: int, dist: ProbVec, cmap: CoarseMap
 ) -> IdentityReport:
-    """The coarsening identity for the orbit cardinalities."""
-    return _coarsening_check(family, n, dist, cmap, _index)
+    """The coarsening identity for the orbit cardinalities: interior
+    blocks contribute type-A subquotients, the last block one of the
+    family itself."""
+    return chain_rule_check(
+        partial(orbit_count, family), partial(orbit_count, "A"), n, dist, cmap
+    )
 
 
 def coarsening_poincare_check(
@@ -108,4 +78,6 @@ def coarsening_poincare_check(
 ) -> IdentityReport:
     """Same identity one level up, for the length generating functions;
     the report carries the two polynomials and their difference."""
-    return _coarsening_check(family, n, dist, cmap, poincare_quotient)
+    return chain_rule_check(
+        partial(orbit_poincare, family), partial(orbit_poincare, "A"), n, dist, cmap
+    )

@@ -12,9 +12,9 @@ from dataclasses import dataclass
 
 import math
 
-from .entropy import CoarseMap, ProbVec, pushforward
+from .entropy import CoarseMap, ProbVec
 from .exact import InexactDivisionError, product, q_factorial, q_multinomial
-from .report import IdentityReport
+from .report import IdentityReport, chain_rule_check
 
 __all__ = [
     "FlagType",
@@ -130,17 +130,11 @@ def symplectic_chain_identity_check(
     n: int, dist: ProbVec, cmap: CoarseMap, q: int
 ) -> IdentityReport:
     """Exact integer identity: the fine quotient equals the coarse
-    quotient times per-block q-multinomials times the tail product of
+    quotient times the q-multinomial of each interior block times the
+    last block's own quotient, whose tail supplies the product of
     (q^j + 1) for j from n*p_k + 1 to n*q_m."""
-    coarse = pushforward(dist, cmap)
-    counts = dist.scaled_counts(n)
-    coarse_counts = coarse.scaled_counts(n)
-    lhs = sp_quotient_closed(n, dist, q)
-    rhs = sp_quotient_closed(n, coarse, q)
-    start = 0
-    for j, size in enumerate(cmap.blocks):
-        block = counts[start : start + size]
-        rhs *= q_multinomial(coarse_counts[j], block, q)
-        start += size
-    rhs *= _plus_one_tail(counts[-1], coarse_counts[-1], q)
-    return IdentityReport(lhs, rhs)
+    return chain_rule_check(
+        lambda m, d: sp_quotient_closed(m, d, q),
+        lambda m, d: q_multinomial(m, d.scaled_counts(m), q),
+        n, dist, cmap,
+    )

@@ -117,6 +117,20 @@ GOLDEN_CASES = [
         ],
         "converge_symplectic_q3.csv",
     ),
+    (
+        [
+            "chain-check", "--target", "symplectic-cardinality", "--n", "12",
+            "--q", "3", "--dist", "1/3,1/6,1/2", "--blocks", "1,2",
+        ],
+        "chain_symplectic_card_n12q3.jsonl",
+    ),
+    (
+        [
+            "chain-check", "--target", "poincare", "--family", "B", "--n", "12",
+            "--dist", "1/3,1/6,1/2", "--blocks", "1,2",
+        ],
+        "chain_poincare_b12.jsonl",
+    ),
 ]
 
 
@@ -185,6 +199,36 @@ def test_non_integral_split_is_a_domain_error(capsys):
     assert code == 3
     assert out == ""
     assert err != ""
+
+
+@pytest.mark.parametrize(
+    "target", ["symplectic-cardinality", "reflective-cardinality", "poincare"]
+)
+def test_exact_chain_target_names_the_fine_entry_first(target, capsys):
+    # the fine side is checked first, so the entry n does not serve is named
+    # rather than the coarse entry the fine one was summed into
+    code, out, err = run_cli(
+        ["chain-check", "--target", target, "--family", "B", "--q", "2", "--n", "6",
+         "--dist", "1/4,1/4,1/2", "--blocks", "2,1"],
+        capsys,
+    )
+    assert code == 3
+    assert out == ""
+    assert err == "error: n=6 does not make 1/4 integral\n"
+
+
+@pytest.mark.parametrize("family,n", [("A", 1), ("B", 1), ("D", 1), ("D", 2)])
+def test_count_and_chain_check_accept_the_same_inputs(family, n, capsys):
+    common = ["--family", family, "--n", str(n), "--dist", "1"]
+    code, out, err = run_cli(["count", "reflection", *common], capsys)
+    assert (code, err) == (0, "")
+    value = json.loads(out)["value"]
+    for target in ("reflective-cardinality", "poincare"):
+        code, out, err = run_cli(
+            ["chain-check", "--target", target, *common, "--blocks", "1"], capsys
+        )
+        assert (code, err) == (0, "")
+        assert json.loads(out)["lhs"] == value
 
 
 def test_inadmissible_schedule_point_is_named(capsys):

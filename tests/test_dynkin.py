@@ -7,9 +7,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from orbit_entropy.cli import _positive_compositions
 from orbit_entropy.dynkin import (
     Diagram,
     _bracket_quotient,
+    flag_factors,
     group_order,
     parabolic_for_distribution,
     parabolic_order,
@@ -260,6 +262,24 @@ def test_parabolic_for_distribution_orders_multiply_correctly():
     _, _, factors = parabolic_for_distribution("B", 4, ProbVec(("1/2", "1/2")))
     assert factors == [("A", 1), ("B", 1)]
     assert parabolic_order(factors) == 2 * 2
+
+
+def test_flag_factors_match_the_diagram_graph():
+    # the graph is the reference for the counts -> factors rule; the one
+    # departure is the documented (D, 1) tail when the last part is 2
+    # (D needs n >= 3 for a diagram of rank n - 1 >= 2)
+    flags = departures = 0
+    for family in ("A", "B", "C", "D"):
+        for n in range(3 if family == "D" else 2, 11):
+            for counts in _positive_compositions(n, n):
+                cuts = list(itertools.accumulate(counts[:-1]))
+                graph = poincare_parabolic(remove_nodes(Diagram(family, n - 1), cuts))
+                flag = poincare_parabolic(flag_factors(family, counts))
+                tail = family == "D" and counts[-1] == 2
+                assert (flag != graph) == tail, (family, counts)
+                flags += 1
+                departures += tail
+    assert (flags, departures) == (4086, 255)
 
 
 # Reference: the bracket-by-bracket arithmetic the series quotient replaced.

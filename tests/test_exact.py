@@ -6,6 +6,8 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
+from orbit_entropy.cli import _positive_compositions
+from orbit_entropy.dynkin import flag_factors, poincare_quotient
 from orbit_entropy.exact import (
     InexactDivisionError,
     IntPolynomial,
@@ -187,7 +189,10 @@ def test_q_factorial_matches_left_to_right_product(q):
 
 
 def test_q_multinomial_is_gauss_bracket_evaluation():
-    # the q-multinomial is the bracket-quotient polynomial evaluated at q
-    for q in (2, 3, 5):
-        top = q_factorial(5, q)
-        assert q_multinomial(5, (2, 3), q) * q_factorial(2, q) * q_factorial(3, q) == top
+    # the q-multinomial is the type-A bracket-quotient polynomial evaluated
+    # at q (the type-A case of the Bruhat identity)
+    for n in range(2, 11):
+        for counts in _positive_compositions(n, n):
+            poly = poincare_quotient("A", n - 1, flag_factors("A", counts))
+            for q in (2, 3, 5):
+                assert q_multinomial(n, counts, q) == poly(q), (n, counts, q)

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import decimal
 import itertools
 import json
 import sys
@@ -127,6 +128,55 @@ def _fmt_error(x: float) -> str:
     return "0.000000000" if s == "-0.000000000" else s
 
 
+# Bit length from which _int_str converts through decimal: below it the
+# quadratic int -> str of CPython 3.11 is the faster.  Measured on random
+# ints, Python 3.11.7 on an Intel Xeon, decimal against str(): 2.15 against
+# 1.88 ms at 32,000 bits, 1.57 against 1.94 ms at 32,768 and 4.0 against
+# 7.4 ms at 65,536.
+_DECIMAL_STR_BITS = 1 << 15
+# pieces this short are converted by Decimal(int) directly
+_DECIMAL_LEAF_BITS = 2048
+
+
+def _int_str(value: int) -> str:
+    """str(value), in time below quadratic for big values.
+
+    Above _DECIMAL_STR_BITS the magnitude is split at 2^k, k half its bit
+    length; the halves are converted recursively and joined as
+    hi * 2^k + lo in Decimal, with the powers of 2 cached for the call.
+    The context has MAX_PREC and traps Inexact and Rounded, so an
+    operation that would lose a digit raises instead.
+    """
+    if value.bit_length() < _DECIMAL_STR_BITS:
+        return str(value)
+    powers: dict[int, decimal.Decimal] = {}
+
+    def power(w: int) -> decimal.Decimal:
+        if w not in powers:
+            h = w >> 1
+            powers[w] = (
+                decimal.Decimal(1 << w) if w <= _DECIMAL_LEAF_BITS
+                else power(h) * power(w - h)
+            )
+        return powers[w]
+
+    def convert(n: int, w: int) -> decimal.Decimal:
+        # n < 2^w
+        if w <= _DECIMAL_LEAF_BITS:
+            return decimal.Decimal(n)
+        h = w >> 1
+        hi = n >> h
+        return convert(hi, w - h).fma(power(h), convert(n - (hi << h), h))
+
+    with decimal.localcontext() as ctx:
+        ctx.prec = decimal.MAX_PREC
+        ctx.Emax = decimal.MAX_EMAX
+        ctx.Emin = decimal.MIN_EMIN
+        ctx.traps[decimal.Inexact] = ctx.traps[decimal.Rounded] = True
+        digits = str(convert(abs(value), value.bit_length()))
+    return digits if value > 0 else "-" + digits
+
+
 def _poly_str(p: IntPolynomial) -> str:
     if p.is_zero:
         return "0"
@@ -177,7 +227,6 @@ def _cmd_count(args: argparse.Namespace) -> tuple[list[dict], int]:
             "family": args.family,
             "n": args.n,
             "dist": _dist_str(dist),
-            "value": str(value),
         }
     elif args.kind == "symplectic":
         _require(args, ("n", "q", "dist"), "count symplectic")
@@ -195,7 +244,6 @@ def _cmd_count(args: argparse.Namespace) -> tuple[list[dict], int]:
             "q": args.q,
             "dist": _dist_str(dist),
             "object": args.object,
-            "value": str(value),
         }
     else:
         _require(args, ("s", "n", "q"), "count isotropic")
@@ -206,8 +254,8 @@ def _cmd_count(args: argparse.Namespace) -> tuple[list[dict], int]:
             "s": args.s,
             "n": args.n,
             "q": args.q,
-            "value": str(value),
         }
+    rec["value"] = _int_str(value)
     return [rec], 0
 
 
@@ -304,7 +352,7 @@ def _cmd_chain_check(args: argparse.Namespace) -> tuple[list[dict], int]:
             check = coarsening_poincare_check if poincare else coarsening_cardinality_check
             report = check(args.family, args.n, dist, cmap)
             rec.update(family=args.family, n=args.n)
-        fmt = _poly_str if poincare else str
+        fmt = _poly_str if poincare else _int_str
         ok = report.holds
         rec.update(lhs=fmt(report.lhs), rhs=fmt(report.rhs), residual=fmt(report.residual))
     rec["holds"] = ok
@@ -319,6 +367,8 @@ def _positive_compositions(total: int, max_parts: int):
 
 
 def _cmd_oracle_verify(args: argparse.Namespace) -> tuple[list[dict], int]:
+    if args.max_rank < 1:
+        raise CliParseError("--max-rank must be at least 1")
     records: list[dict] = []
     failures = 0
 

@@ -77,14 +77,39 @@ def q_factorial(k: int, q: int) -> int:
     return product(q**i - 1 for i in range(1, k + 1))
 
 
+def _cyclotomic_values(m: int, q: int) -> list[int]:
+    # entry d is Phi_d(q) for 1 <= d <= m, by a divisor sieve on
+    # q^d - 1 = prod_{e | d} Phi_e(q): each entry is final once every proper
+    # divisor has been divided out of it, so the divisions are checked ones
+    # on ints of at most m * log2(q) bits
+    phi = [q**d - 1 for d in range(m + 1)]
+    for e in range(1, m + 1):
+        for k in range(2 * e, m + 1, e):
+            phi[k] = exact_div(phi[k], phi[e])
+    return phi
+
+
 def q_multinomial(n: int, parts: Sequence[int], q: int) -> int:
-    """q-analog of the multinomial coefficient; division is exact by theorem."""
+    """q-analog of the multinomial coefficient, q_factorial(n) over the
+    product of q_factorial(p) for the parts, computed without a big division.
+
+    Each q^k - 1 is the product of the cyclotomic values Phi_d(q) over the
+    divisors d of k, so the value is the product of Phi_d(q)^{e_d}, d >= 2,
+    with e_d = floor(n/d) - sum floor(p/d) (Knuth and Wilf, 1989).  An e_d
+    below zero would mean the quotient is not a polynomial in q and raises
+    InexactDivisionError; for parts summing to n it never is.
+    """
     if any(p < 0 for p in parts):
         raise ValueError("parts must be nonnegative")
     if sum(parts) != n:
         raise ValueError(f"parts {list(parts)} do not sum to n={n}")
-    denominator = product(q_factorial(p, q) for p in parts)
-    return exact_div(q_factorial(n, q), denominator)
+    if q < 2:
+        raise ValueError("q must be at least 2")
+    exponents = [n // d - sum(p // d for p in parts) for d in range(2, n + 1)]
+    if any(e < 0 for e in exponents):
+        raise InexactDivisionError(f"parts {list(parts)} do not divide [{n}]_q!")
+    phi = _cyclotomic_values(n, q)
+    return product(phi[d] ** e for d, e in enumerate(exponents, 2) if e)
 
 
 class IntPolynomial:

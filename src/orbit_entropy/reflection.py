@@ -12,15 +12,9 @@ from __future__ import annotations
 import math
 from functools import partial
 
-from .dynkin import (
-    ParabolicType,
-    flag_factors,
-    group_order,
-    parabolic_order,
-    poincare_quotient,
-)
+from .dynkin import ParabolicType, _check_rank, flag_factors, poincare_quotient
 from .entropy import CoarseMap, ProbVec
-from .exact import IntPolynomial, exact_div
+from .exact import InexactDivisionError, IntPolynomial, multinomial
 from .report import IdentityReport, chain_rule_check
 
 __all__ = [
@@ -33,8 +27,27 @@ __all__ = [
 
 
 def _index(family: str, rank: int, factors: ParabolicType) -> int:
-    # the length generating function at t = 1, without building it
-    return exact_div(group_order(family, rank), parabolic_order(factors))
+    # the length generating function at t = 1, without building it or
+    # dividing: |W| = m! 2^twos with m = rank + 1 for A and m = rank, twos =
+    # rank (rank - 1 for D) otherwise; an A_r factor is (r + 1)!, a B/C_r
+    # factor r! 2^r and a D_r factor r! 2^{r-1}.  So |W|/|W_P| is the
+    # multinomial of m over the factor sizes and the rest (the rank-0
+    # blocks), times rest! and the 2s left over.
+    _check_rank(family, rank)
+    m = rank + 1 if family == "A" else rank
+    twos = 0 if family == "A" else rank - (family == "D")
+    parts = []
+    for fam, r in factors:
+        _check_rank(fam, r)
+        if fam == "A":
+            parts.append(r + 1)
+        else:
+            parts.append(r)
+            twos -= r - (fam == "D")
+    rest = m - sum(parts)
+    if rest < 0 or twos < 0:
+        raise InexactDivisionError(f"factors {factors} do not fit in {family}{rank}")
+    return multinomial(m, parts + [rest]) * math.factorial(rest) << twos
 
 
 def _orbit(family: str, n: int, dist: ProbVec, quotient, one):

@@ -1,7 +1,10 @@
 """Command line contract: byte-exact golden outputs, exit codes, stream
 separation, and determinism."""
 
+import hashlib
 import json
+import math
+import random
 import sys
 from pathlib import Path
 
@@ -339,6 +342,17 @@ def test_oracle_verify_reflection_subset(capsys):
     assert "failures=0" in summary["case"]
 
 
+@pytest.mark.parametrize("max_rank", ["-1", "0"])
+def test_oracle_verify_max_rank_below_one_is_a_parse_error(max_rank, capsys):
+    # such a rank would verify no reflection case and still report success
+    code, out, err = run_cli(
+        ["oracle-verify", "--scope", "reflection", "--max-rank", max_rank], capsys
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "error: --max-rank must be at least 1\n"
+
+
 def test_oracle_verify_csv_header(capsys):
     code, out, _ = run_cli(
         ["oracle-verify", "--scope", "words", "--format", "csv"], capsys
@@ -389,3 +403,87 @@ def test_digit_limit_is_restored_after_main(capsys):
     before = limit() if limit else None
     run_cli(["count", "isotropic", "--s", "1", "--n", "2", "--q", "2"], capsys)
     assert (limit() if limit else None) == before
+
+
+# stdout sha256 of commands whose numbers are far past every golden file,
+# recorded before the count and output paths were made division-free
+BIG_OUTPUT_SHA256 = [
+    (
+        ["count", "symplectic", "--n", "1024", "--q", "2", "--dist", "1/4,1/4,1/2"],
+        "fe97242d1e6e168626880f2112e53058cc934155ea98274e45084185b0cd3d8c",
+    ),
+    (
+        ["count", "symplectic", "--n", "1024", "--q", "2", "--dist", "1/4,1/4,1/2",
+         "--format", "csv"],
+        "cf3c801b1fdfacdb88646ca28425026e4221e6cbd6d0830ea67c6da75a5692e3",
+    ),
+    (
+        ["chain-check", "--target", "symplectic-cardinality", "--n", "200", "--q", "2",
+         "--dist", "1/4,1/4,1/2", "--blocks", "2,1"],
+        "a48c8ce0675049072a604d40a31a0f7e6aa3c182d4bab10de08eb77a60a2520f",
+    ),
+    (
+        ["converge", "symplectic", "--q", "2", "--n", "256,512,1024",
+         "--dist", "1/8,3/8,1/2"],
+        "a5c6f6966bd3f0d9307d75b72ec3f25c3b19943d0eff2d885c579e5dda0c4a37",
+    ),
+    (
+        ["converge", "reflection", "--family", "B", "--n", "4096,16384,65536",
+         "--dist", "1/8,3/8,1/2"],
+        "59ed694f65f860f972bf979774eb856ec4203770208052d7b46414aa919fe1c6",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,digest",
+    BIG_OUTPUT_SHA256,
+    ids=["count-json", "count-csv", "chain-check", "converge-symplectic", "converge-reflection"],
+)
+def test_big_output_is_pinned(argv, digest, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def _int_from_digits(digits):
+    # the int a decimal string names, by splitting the string in halves and
+    # joining them with int multiplications: an independent route, and one
+    # far faster than int(digits) for millions of digits
+    if len(digits) <= 1000:
+        return int(digits)
+    h = len(digits) // 2
+    return _int_from_digits(digits[:-h]) * 10**h + _int_from_digits(digits[-h:])
+
+
+def test_int_str_is_str_around_the_crossover():
+    bits = cli._DECIMAL_STR_BITS
+    k0 = int(bits * math.log10(2))
+    values = [0, 1, -1, 2**bits, 2**bits - 1, -(2**bits)]
+    for k in range(k0 - 3, k0 + 4):
+        for v in (10**k - 1, 10**k, 10**k + 1):
+            values += [v, -v]
+    with _unlimited_int_digits():
+        for v in values:
+            assert cli._int_str(v) == str(v), v
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_int_str_is_str_on_random_ints(seed):
+    rng = random.Random(seed)
+    with _unlimited_int_digits():
+        for _ in range(6):
+            v = rng.getrandbits(rng.randrange(1, 300_000)) * rng.choice((1, -1))
+            assert cli._int_str(v) == str(v)
+
+
+@pytest.mark.parametrize("digits", [100_000, 903_090])
+def test_int_str_names_the_int_it_formats(digits):
+    # up to 3 Mbit, where str() itself takes many seconds on CPython 3.11:
+    # the string is drawn first and the int built from it
+    rng = random.Random(digits)
+    text = str(rng.randrange(1, 10)) + "".join(rng.choices("0123456789", k=digits - 1))
+    value = _int_from_digits(text)
+    assert value.bit_length() > digits * 3
+    assert cli._int_str(value) == text
+    assert cli._int_str(-value) == "-" + text

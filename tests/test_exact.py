@@ -1,10 +1,11 @@
 """Tests for the exact arithmetic kernel: division, multinomials, q-analogs,
 and the integer polynomial type everything else is built on."""
 
+import itertools
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from orbit_entropy.cli import _positive_compositions
 from orbit_entropy.dynkin import flag_factors, poincare_quotient
@@ -196,3 +197,43 @@ def test_q_multinomial_is_gauss_bracket_evaluation():
             poly = poincare_quotient("A", n - 1, flag_factors("A", counts))
             for q in (2, 3, 5):
                 assert q_multinomial(n, counts, q) == poly(q), (n, counts, q)
+
+
+def _q_multinomial_by_division(n, parts, q):
+    # the definition, as one checked division of q-factorials
+    return exact_div(q_factorial(n, q), product(q_factorial(p, q) for p in parts))
+
+
+def _weak_compositions(total, length):
+    for cuts in itertools.combinations_with_replacement(range(total + 1), length - 1):
+        bounds = (0,) + cuts + (total,)
+        yield tuple(b - a for a, b in zip(bounds, bounds[1:]))
+
+
+@pytest.mark.parametrize("q", (2, 3, 4, 5, 7))
+def test_q_multinomial_matches_the_division(q):
+    fact = [q_factorial(k, q) for k in range(25)]
+    for n in range(25):
+        for length in range(1, 5):
+            for parts in _weak_compositions(n, length):
+                want = exact_div(fact[n], product(fact[p] for p in parts))
+                assert q_multinomial(n, parts, q) == want, (n, parts)
+
+
+@given(
+    st.lists(st.integers(0, 100), min_size=1, max_size=5).filter(lambda ps: sum(ps) <= 300),
+    st.integers(2, 9),
+)
+@settings(max_examples=60, deadline=None)
+def test_q_multinomial_matches_the_division_up_to_300(parts, q):
+    n = sum(parts)
+    assert q_multinomial(n, parts, q) == _q_multinomial_by_division(n, parts, q)
+
+
+def test_q_multinomial_rejects_bad_input():
+    with pytest.raises(ValueError):
+        q_multinomial(3, (1, 1), 2)
+    with pytest.raises(ValueError):
+        q_multinomial(2, (3, -1), 2)
+    with pytest.raises(ValueError):
+        q_multinomial(2, (1, 1), 1)

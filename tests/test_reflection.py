@@ -1,15 +1,25 @@
 """Orbit cardinalities under distribution-shaped stabilizers, their length
 generating polynomials, and the coarse-graining identities."""
 
+import itertools
 import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from orbit_entropy.cli import _positive_compositions
+from orbit_entropy.dynkin import (
+    Diagram,
+    flag_factors,
+    group_order,
+    parabolic_order,
+    remove_nodes,
+)
 from orbit_entropy.entropy import CoarseMap, ProbVec
-from orbit_entropy.exact import IntPolynomial, multinomial
+from orbit_entropy.exact import InexactDivisionError, IntPolynomial, exact_div, multinomial
 from orbit_entropy.reflection import (
+    _index,
     coarsening_cardinality_check,
     coarsening_poincare_check,
     normalized_log_orbit,
@@ -158,3 +168,60 @@ def test_cardinality_is_the_poincare_grading_at_one(case):
     assert card.rhs == poly.rhs(1)
     assert card.lhs == orbit_count(family, n, dist)
     assert poly.lhs == orbit_poincare(family, n, dist)
+
+
+def _index_by_division(family, rank, factors):
+    return exact_div(group_order(family, rank), parabolic_order(factors))
+
+
+@pytest.mark.parametrize("family", ("A", "B", "C", "D"))
+def test_index_matches_the_division_on_flag_factors(family):
+    # every composition up to n = 12, and every one into at most 4 parts up
+    # to n = 30 (all compositions up to 30 would be 2^29 of them)
+    for n in range(2, 31):
+        for counts in _positive_compositions(n, n if n <= 12 else 4):
+            factors = flag_factors(family, counts)
+            assert _index(family, n - 1, factors) == _index_by_division(
+                family, n - 1, factors
+            ), (n, counts)
+
+
+def test_index_matches_the_division_on_removals():
+    # the one exception is a removal of D that keeps both fork tips as
+    # separate A1 components with no spare coordinate for them: their
+    # orders multiply to that of D2, but as two type-A blocks they count
+    # four coordinates where D2 has two, so the multinomial form has no
+    # room and the list is refused, never divided
+    refused = []
+    for family in ("A", "B", "C", "D"):
+        for rank in range(2 if family == "D" else 1, 9):
+            diagram = Diagram(family, rank)
+            for size in range(rank + 1):
+                for removal in itertools.combinations(range(1, rank + 1), size):
+                    factors = remove_nodes(diagram, removal)
+                    try:
+                        value = _index(family, rank, factors)
+                    except InexactDivisionError:
+                        refused.append((family, rank, removal))
+                        continue
+                    assert value == _index_by_division(family, rank, factors)
+    for family, rank, removal in refused:
+        assert family == "D"
+        assert {rank - 1, rank}.isdisjoint(removal)
+        assert rank == 2 or rank - 2 in removal
+    assert len(refused) == 31
+
+
+def test_index_rejects_bad_factor_lists():
+    # the factors the division rejects, through the same rank checks
+    for factors in ([("E", 2)], [("A", 0)], [("A", -3)], [("X", 1)]):
+        with pytest.raises(ValueError):
+            _index("A", 5, factors)
+    with pytest.raises(ValueError):
+        _index("E", 5, [])
+    # more coordinates than the group has; and sign changes where A has
+    # none, a list the division would have turned into 24/8 = 3
+    with pytest.raises(InexactDivisionError):
+        _index("A", 3, [("A", 4)])
+    with pytest.raises(InexactDivisionError):
+        _index("A", 3, [("B", 2)])

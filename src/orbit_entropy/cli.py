@@ -34,7 +34,7 @@ from .entropy import (
     symplectic_entropy,
     tsallis2,
 )
-from .exact import IntPolynomial, multinomial
+from .exact import InexactDivisionError, IntPolynomial, multinomial
 from .reflection import (
     coarsening_cardinality_check,
     coarsening_poincare_check,
@@ -581,6 +581,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 3
+        except InexactDivisionError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
         _emit(records, args.format)
     return code
 

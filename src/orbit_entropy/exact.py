@@ -14,11 +14,13 @@ from typing import Iterable, Sequence
 __all__ = [
     "InexactDivisionError",
     "IntPolynomial",
+    "cyclotomic_product",
     "exact_div",
     "multinomial",
     "product",
     "q_factorial",
     "q_multinomial",
+    "q_multinomial_exponents",
 ]
 
 
@@ -89,15 +91,33 @@ def _cyclotomic_values(m: int, q: int) -> list[int]:
     return phi
 
 
+def q_multinomial_exponents(n: int, parts: Sequence[int]) -> list[int]:
+    """Exponent e_d of Phi_d(q) in the q-multinomial of the parts, at index
+    d for 0 <= d <= n: e_0 = 0 and e_d = floor(n/d) - sum floor(p/d)
+    (Knuth and Wilf, 1989), which is 0 at d = 1 when the parts sum to n."""
+    return [0] + [n // d - sum(p // d for p in parts) for d in range(1, n + 1)]
+
+
+def cyclotomic_product(exponents: Sequence[int], q: int) -> int:
+    """Product of Phi_d(q)^{e_d} with e_d = exponents[d], over one table of
+    Phi_d(q) for d < len(exponents).  A negative e_d would make the product
+    no polynomial in q and raises InexactDivisionError."""
+    negative = [d for d, e in enumerate(exponents) if e < 0]
+    if negative:
+        raise InexactDivisionError(f"Phi_{negative[0]}(q) has a negative exponent")
+    phi = _cyclotomic_values(len(exponents) - 1, q)
+    return product(phi[d] ** e for d, e in enumerate(exponents) if e)
+
+
 def q_multinomial(n: int, parts: Sequence[int], q: int) -> int:
     """q-analog of the multinomial coefficient, q_factorial(n) over the
     product of q_factorial(p) for the parts, computed without a big division.
 
     Each q^k - 1 is the product of the cyclotomic values Phi_d(q) over the
-    divisors d of k, so the value is the product of Phi_d(q)^{e_d}, d >= 2,
-    with e_d = floor(n/d) - sum floor(p/d) (Knuth and Wilf, 1989).  An e_d
-    below zero would mean the quotient is not a polynomial in q and raises
-    InexactDivisionError; for parts summing to n it never is.
+    divisors d of k, so the value is the cyclotomic_product of
+    q_multinomial_exponents.  An exponent below zero would mean the
+    quotient is not a polynomial in q and raises InexactDivisionError; for
+    parts summing to n none is.
     """
     if any(p < 0 for p in parts):
         raise ValueError("parts must be nonnegative")
@@ -105,11 +125,7 @@ def q_multinomial(n: int, parts: Sequence[int], q: int) -> int:
         raise ValueError(f"parts {list(parts)} do not sum to n={n}")
     if q < 2:
         raise ValueError("q must be at least 2")
-    exponents = [n // d - sum(p // d for p in parts) for d in range(2, n + 1)]
-    if any(e < 0 for e in exponents):
-        raise InexactDivisionError(f"parts {list(parts)} do not divide [{n}]_q!")
-    phi = _cyclotomic_values(n, q)
-    return product(phi[d] ** e for d, e in enumerate(exponents, 2) if e)
+    return cyclotomic_product(q_multinomial_exponents(n, parts), q)
 
 
 class IntPolynomial:
@@ -192,10 +208,19 @@ class IntPolynomial:
         )
 
     def __call__(self, x: int) -> int:
-        out = 0
-        for c in reversed(self.coeffs):
-            out = out * x + c
-        return out
+        # divide and conquer: pair neighbours as c_i + x^h c_{i+1}, h = 1, 2,
+        # 4, ..., squaring x^h once per level, so the large multiplications
+        # pair operands of similar size (Horner's rule makes them lopsided)
+        level = list(self.coeffs)
+        power = x
+        while len(level) > 1:
+            paired = [a + power * b for a, b in zip(level[::2], level[1::2])]
+            if len(level) % 2:
+                paired.append(level[-1])
+            level = paired
+            if len(level) > 1:
+                power *= power
+        return level[0] if level else 0
 
 
 def _pack(coeffs: Sequence[int], width: int) -> int:

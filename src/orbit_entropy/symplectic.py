@@ -11,10 +11,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import math
+from typing import Sequence
 
 from .entropy import CoarseMap, ProbVec
-from .exact import InexactDivisionError, product, q_factorial, q_multinomial
+from .exact import (
+    cyclotomic_product,
+    product,
+    q_factorial,
+    q_multinomial,
+    q_multinomial_exponents,
+)
 from .report import IdentityReport, chain_rule_check
+from .verify import check_flag_count
 
 __all__ = [
     "FlagType",
@@ -34,9 +42,26 @@ def _check_q(q: int) -> None:
         raise ValueError("field size q must be at least 2")
 
 
-def _plus_one_tail(lo: int, hi: int, q: int) -> int:
-    # product of (q^j + 1) for j from lo + 1 to hi; 1 when lo >= hi
-    return product(q**j + 1 for j in range(lo + 1, hi + 1))
+def _plus_one_tail(lo: int, hi: int, exponents: list[int]) -> None:
+    # adds the exponents of the product of (q^j + 1) for lo < j <= hi:
+    # q^j + 1 = (q^2j - 1) / (q^j - 1) is the product of Phi_d(q) over the
+    # d that divide 2j but not j, the even d with j an odd multiple of d/2
+    for d in range(2, 2 * hi + 1, 2):
+        h = d // 2
+        exponents[d] += hi // h - lo // h - (hi // d - lo // d)
+
+
+def _flag_count(blocks: Sequence[int], n: int, q: int) -> int:
+    # isotropic flags with these increments in a 2n-dimensional space: the
+    # q-multinomial of (blocks, r) times the product of (q^j + 1) for
+    # r < j <= n, r = n - sum(blocks), as one exponent vector over Phi_d(q),
+    # d <= 2n, evaluated once and checked by verify.check_flag_count
+    r = n - sum(blocks)
+    exponents = q_multinomial_exponents(n, (*blocks, r)) + [0] * n
+    _plus_one_tail(r, n, exponents)
+    value = cyclotomic_product(exponents, q)
+    check_flag_count(blocks, n, q, exponents, value)
+    return value
 
 
 def gl_order(m: int, q: int) -> int:
@@ -71,12 +96,7 @@ def ig_count(s: int, n: int, q: int) -> int:
     _check_q(q)
     if not 0 <= s <= n:
         raise ValueError("need 0 <= s <= n")
-    count = q_multinomial(n, (s, n - s), q) * _plus_one_tail(n - s, n, q)
-    # stabilizer factorization: count * |N| * |GL_s| * |Sp_{n-s}| = |Sp_n|
-    check = count * unipotent_radical_order(s, n, q) * gl_order(s, q) * sp_order(n - s, q)
-    if check != sp_order(n, q):
-        raise InexactDivisionError("isotropic count fails the stabilizer factorization")
-    return count
+    return _flag_count((s,), n, q)
 
 
 @dataclass(frozen=True)
@@ -103,21 +123,16 @@ class FlagType:
 def isotropic_flag_count(ft: FlagType) -> int:
     """Number of isotropic flags of the given shape: subspace count for
     the total dimension times the q-multinomial of the increments."""
-    s = sum(ft.increments)
-    return ig_count(s, ft.n, ft.q) * q_multinomial(s, ft.increments, ft.q)
+    return _flag_count(ft.increments, ft.n, ft.q)
 
 
 def sp_quotient_closed(n: int, dist: ProbVec, q: int) -> int:
     """|Sp/P| for the parabolic attached to the scaled distribution n*P:
     the q-multinomial of all parts times the tail product of (q^j + 1)
-    for j from n*p_k + 1 to n.  Cross-checked against the flag count of
-    shape (n*p_1, ..., n*p_{k-1})."""
-    counts = dist.scaled_counts(n)
-    count = q_multinomial(n, counts, q) * _plus_one_tail(counts[-1], n, q)
-    flags = isotropic_flag_count(FlagType(counts[:-1], n, q))
-    if count != flags:
-        raise InexactDivisionError("closed form disagrees with the flag count")
-    return count
+    for j from n*p_k + 1 to n: the number of isotropic flags of shape
+    (n*p_1, ..., n*p_{k-1})."""
+    _check_q(q)
+    return _flag_count(dist.scaled_counts(n)[:-1], n, q)
 
 
 def normalized_logq_quotient(n: int, dist: ProbVec, q: int) -> float:

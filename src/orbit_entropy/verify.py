@@ -1,0 +1,106 @@
+"""The one verification policy of the symplectic flag counts.
+
+``ig_count``, ``isotropic_flag_count`` and ``sp_quotient_closed`` all count
+the flags of one shape, |Sp_n / P| for the parabolic P fixing an isotropic
+flag with increments m_1, ..., m_k, and each hands its exponent vector and
+its value to ``check_flag_count``.  The check proves the orbit-stabilizer
+identity count * |P| = |Sp_n| in two steps, and builds a group order as a
+big integer only in the fallback of step 2:
+
+1. Symbolic proof.  Both group orders are q^a times a product of factors
+   q^j - 1, and q^j - 1 is the product of Phi_d(q) over the divisors d of
+   j, so the identity holds as polynomials in q exactly when the powers of
+   q agree and, for every d, e_d of the count equals the number of group
+   factors q^j - 1 with d | j, those of |Sp_n| counted positive and those
+   of |P| negative.  The exponents come from the factor lists, not from
+   the floor formula the closed form uses.
+2. Residue check.  The returned integer is compared modulo each of PRIMES
+   with an O(n) evaluation of the same group orders mod p, which uses
+   neither the Phi_d(q) table nor ``exact.product``.  A prime where |P| is
+   0 mod p says nothing about the count and is skipped; with fewer than
+   two primes left, the exact big-integer equality runs instead.
+
+The flag-count identity count = ig_count(s) * q_multinomial(s, m), with
+s = sum m, written through group orders, is this factorization for the
+same P, so one proof covers both.  Any failure raises
+``InexactDivisionError``.
+"""
+
+from __future__ import annotations
+
+import math
+from typing import Sequence
+
+from .exact import InexactDivisionError
+
+__all__ = ["PRIMES", "check_flag_count"]
+
+# safe primes p = 2p' + 1 below 2^61: every q other than 0 and +-1 mod p has
+# multiplicative order at least p' > 2^59, so no factor q^j - 1 a count can
+# reach vanishes mod p, and a prime is skipped only for q = 0 or +-1 mod p
+PRIMES = (2**61 - 2373, 2**61 - 3153, 2**61 - 7245)
+
+# q^a * prod(q^j - 1 for j in js), as (a, js)
+GroupOrder = tuple[int, list[int]]
+
+
+def _symplectic_order(n: int) -> GroupOrder:
+    return n * n, [2 * i for i in range(1, n + 1)]
+
+
+def _flag_stabilizer_order(blocks: Sequence[int], n: int) -> GroupOrder:
+    # Levi factor GL_{m_1} x ... x GL_{m_k} x Sp_r, r = n - sum m, and a
+    # unipotent radical of dimension (dim Sp_n - dim Levi) / 2, where
+    # dim Sp_m = m(2m + 1) and dim GL_m = m^2
+    r = n - sum(blocks)
+    levi = sum(m * m for m in blocks) + r * (2 * r + 1)
+    unipotent = (n * (2 * n + 1) - levi) // 2
+    power = unipotent + sum(m * (m - 1) // 2 for m in blocks) + r * r
+    js = [j for m in blocks for j in range(1, m + 1)]
+    return power, js + [2 * i for i in range(1, r + 1)]
+
+
+def _proves(exponents: Sequence[int], stabilizer: GroupOrder, group: GroupOrder) -> bool:
+    (a, js), (b, ks) = stabilizer, group
+    net = [0] * (max(ks, default=0) + 1)
+    for k in ks:
+        net[k] += 1
+    for j in js:
+        net[j] -= 1
+    return a == b and list(exponents) == [0] + [sum(net[d::d]) for d in range(1, len(net))]
+
+
+def _order_mod(order: GroupOrder, q: int, p: int) -> int:
+    a, js = order
+    powers = [1]
+    for _ in range(max(js, default=0)):
+        powers.append(powers[-1] * q % p)
+    out = pow(q, a, p)
+    for j in js:
+        out = out * (powers[j] - 1) % p
+    return out
+
+
+def _order(order: GroupOrder, q: int) -> int:
+    a, js = order
+    return q**a * math.prod(q**j - 1 for j in js)
+
+
+def check_flag_count(
+    blocks: Sequence[int], n: int, q: int, exponents: Sequence[int], value: int
+) -> None:
+    """Check that ``value``, the product of Phi_d(q)^{exponents[d]} with
+    len(exponents) = 2n + 1, is the number of isotropic flags with
+    increments ``blocks`` in a 2n-dimensional symplectic space over F_q."""
+    stabilizer, group = _flag_stabilizer_order(blocks, n), _symplectic_order(n)
+    if not _proves(exponents, stabilizer, group):
+        raise InexactDivisionError(
+            "flag count exponents fail the stabilizer factorization"
+        )
+    residues = [(p, m) for p in PRIMES if (m := _order_mod(stabilizer, q, p))]
+    if len(residues) >= 2:
+        holds = all(value % p * m % p == _order_mod(group, q, p) for p, m in residues)
+    else:
+        holds = value * _order(stabilizer, q) == _order(group, q)
+    if not holds:
+        raise InexactDivisionError("flag count fails the stabilizer factorization")

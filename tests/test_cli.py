@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from orbit_entropy import cli
+from orbit_entropy import cli, exact
 from orbit_entropy.cli import _unlimited_int_digits
 from orbit_entropy.entropy import CoarseMap, ProbVec
 from orbit_entropy.report import IdentityReport
@@ -329,6 +329,16 @@ def test_identity_failure_exits_one(monkeypatch, capsys):
     )
     assert code == 1
     assert '"holds": false' in out
+
+
+def test_failed_self_check_exits_one(monkeypatch, capsys):
+    # a count whose evaluation drops a factor fails its residue check
+    original = exact.product
+    monkeypatch.setattr(exact, "product", lambda values: original(list(values)[1:]))
+    code, out, err = run_cli(["count", "isotropic", "--s", "1", "--n", "2", "--q", "2"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "stabilizer factorization" in err
 
 
 def test_oracle_verify_reflection_subset(capsys):

@@ -12,6 +12,7 @@ from orbit_entropy.dynkin import flag_factors, poincare_quotient
 from orbit_entropy.exact import (
     InexactDivisionError,
     IntPolynomial,
+    cyclotomic_product,
     exact_div,
     multinomial,
     product,
@@ -140,6 +141,28 @@ def test_polynomial_product_matches_pointwise(a, b, x):
     assert (pa * pb)(x) == pa(x) * pb(x)
 
 
+def _horner(coeffs, x):
+    out = 0
+    for c in reversed(coeffs):
+        out = out * x + c
+    return out
+
+
+signed_coeffs = st.lists(st.one_of(st.just(0), st.integers(-(2**80), 2**80)), max_size=40)
+
+
+@given(signed_coeffs, st.integers(-(2**40), 2**40))
+def test_polynomial_evaluation_matches_horner(coeffs, x):
+    # signed and zero coefficients, odd and even lengths, the zero polynomial
+    assert IntPolynomial(coeffs)(x) == _horner(coeffs, x)
+
+
+def test_polynomial_evaluation_at_high_degree():
+    coeffs = [(-1) ** i * (i % 7) for i in range(4097)]
+    for x in (-3, -1, 0, 1, 2, 5):
+        assert IntPolynomial(coeffs)(x) == _horner(coeffs, x)
+
+
 def _schoolbook(a, b):
     out = [0] * (len(a) + len(b) - 1)
     for i, ca in enumerate(a):
@@ -228,6 +251,13 @@ def test_q_multinomial_matches_the_division(q):
 def test_q_multinomial_matches_the_division_up_to_300(parts, q):
     n = sum(parts)
     assert q_multinomial(n, parts, q) == _q_multinomial_by_division(n, parts, q)
+
+
+def test_cyclotomic_product_rejects_a_negative_exponent():
+    # Phi_2(q) Phi_4(q) / Phi_3(q) is no polynomial in q
+    with pytest.raises(InexactDivisionError):
+        cyclotomic_product([0, 0, 1, -1, 1], 2)
+    assert cyclotomic_product([0, 0, 1, 1, 1], 2) == 3 * 7 * 5
 
 
 def test_q_multinomial_rejects_bad_input():

@@ -7,8 +7,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from orbit_entropy import exact, symplectic, verify
+from orbit_entropy.dynkin import poincare_quotient
 from orbit_entropy.entropy import CoarseMap, ProbVec
-from orbit_entropy.exact import exact_div, q_multinomial
+from orbit_entropy.exact import InexactDivisionError, exact_div, q_multinomial
 from orbit_entropy.symplectic import (
     FlagType,
     gl_order,
@@ -160,6 +162,10 @@ def test_sp_quotient_matches_partial_flag_count():
         assert sp_quotient_closed(n, dist, q) == isotropic_flag_count(
             FlagType(counts[:-1], n, q)
         )
+        s = sum(counts[:-1])
+        assert sp_quotient_closed(n, dist, q) == ig_count(s, n, q) * q_multinomial(
+            s, counts[:-1], q
+        )
 
 
 def test_normalized_logq_quotient_value():
@@ -220,3 +226,142 @@ def test_quotient_counts_are_positive_and_divide_group_related_products(case):
     # the count times the flag stabilizer order equals the full group order;
     # the stabilizer order is recoverable as an exact division
     exact_div(sp_order(n, q), count)
+
+
+@st.composite
+def flag_case(draw, max_n):
+    # positive increments with a positive remainder r = n - sum, and q
+    n = draw(st.integers(1, max_n))
+    increments = []
+    while sum(increments) < n - 1 and draw(st.booleans()):
+        increments.append(draw(st.integers(1, n - 1 - sum(increments))))
+    q = draw(st.sampled_from((2, 3, 4, 5, 7)))
+    return tuple(increments), n, q
+
+
+def _dist(increments, n):
+    return ProbVec(Fraction(c, n) for c in (*increments, n - sum(increments)))
+
+
+@given(flag_case(200))
+@settings(max_examples=60, deadline=None)
+def test_big_int_identities_up_to_200(case):
+    # the stabilizer factorization and the flag-count identity on the big
+    # integers, which the counts themselves check symbolically and mod p
+    increments, n, q = case
+    s = sum(increments)
+    ig = ig_count(s, n, q)
+    stabilizer = unipotent_radical_order(s, n, q) * gl_order(s, q) * sp_order(n - s, q)
+    assert ig * stabilizer == sp_order(n, q)
+    flags = ig * q_multinomial(s, increments, q)
+    assert isotropic_flag_count(FlagType(increments, n, q)) == flags
+    assert sp_quotient_closed(n, _dist(increments, n), q) == flags
+
+
+@given(flag_case(16), st.sampled_from((2, 3, 5)))
+@settings(max_examples=150, deadline=None)
+def test_bruhat_quotient_is_the_type_c_poincare_quotient(case, q):
+    # |Sp_{2n}(F_q)/P| is the Poincare polynomial of W(C_n)/W_P at t = q, with
+    # W_P = A_{c_1 - 1} x ... x A_{c_{k-1} - 1} x C_{c_k}, rank-0 factors dropped
+    increments, n, _ = case
+    factors = [("A", c - 1) for c in increments if c > 1]
+    factors.append(("C", n - sum(increments)))
+    assert sp_quotient_closed(n, _dist(increments, n), q) == poincare_quotient(
+        "C", n, factors
+    )(q)
+
+
+def _bump_phi_2(original):
+    def table(m, q):
+        phi = original(m, q)
+        phi[2] += 1
+        return phi
+
+    return table
+
+
+def _bump_e_2(original):
+    def exponents(n, parts):
+        out = original(n, parts)
+        out[2] += 1
+        return out
+
+    return exponents
+
+
+FAULTS = {
+    "phi entry off by one": (exact, "_cyclotomic_values", _bump_phi_2),
+    "tail range off by one": (
+        symplectic, "_plus_one_tail",
+        lambda original: lambda lo, hi, exps: original(lo + 1, hi, exps),
+    ),
+    "product drops a factor": (
+        exact, "product", lambda original: lambda values: original(list(values)[1:])
+    ),
+    "one exponent wrong": (symplectic, "q_multinomial_exponents", _bump_e_2),
+}
+
+FLAG_COUNTS = {
+    "ig_count": lambda q: ig_count(3, 6, q),
+    "isotropic_flag_count": lambda q: isotropic_flag_count(FlagType((1, 2), 6, q)),
+    "sp_quotient_closed": lambda q: sp_quotient_closed(
+        6, ProbVec(("1/6", "1/3", "1/2")), q
+    ),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(FAULTS))
+@pytest.mark.parametrize("count", sorted(FLAG_COUNTS))
+@pytest.mark.parametrize("q", (3, verify.PRIMES[0] * verify.PRIMES[1] + 1))
+def test_seeded_faults_raise(fault, count, q, monkeypatch):
+    # the large q is 1 mod two of the primes, so the exact equality runs
+    module, name, wrap = FAULTS[fault]
+    monkeypatch.setattr(module, name, wrap(getattr(module, name)))
+    with pytest.raises(InexactDivisionError):
+        FLAG_COUNTS[count](q)
+
+
+def test_symbolic_proof_rejects_vectors_right_only_at_one_q():
+    # Phi_1(2) = 1 and Phi_2(2) = Phi_6(2) = 3, so these vectors give the
+    # right value at q = 2, which the residue check alone would accept
+    exps = exact.q_multinomial_exponents(6, (3, 3)) + [0] * 6
+    symplectic._plus_one_tail(3, 6, exps)
+    value = ig_count(3, 6, 2)
+    verify.check_flag_count((3,), 6, 2, exps, value)
+    extra_phi_1 = exps.copy()
+    extra_phi_1[1] += 1
+    phi_2_as_phi_6 = exps.copy()
+    phi_2_as_phi_6[2] -= 1
+    phi_2_as_phi_6[6] += 1
+    for bad in (extra_phi_1, phi_2_as_phi_6):
+        assert exact.cyclotomic_product(bad, 2) == value
+        with pytest.raises(InexactDivisionError):
+            verify.check_flag_count((3,), 6, 2, bad, value)
+
+
+def test_exact_equality_runs_when_fewer_than_two_primes_inform(monkeypatch):
+    calls = []
+    exact_order = verify._order
+
+    def order(group, q):
+        calls.append(q)
+        return exact_order(group, q)
+
+    monkeypatch.setattr(verify, "_order", order)
+    ig_count(2, 4, 5)
+    assert calls == []
+    q = verify.PRIMES[0] * verify.PRIMES[2] + 1
+    assert ig_count(2, 4, q) * gl_order(2, q) * unipotent_radical_order(
+        2, 4, q
+    ) * sp_order(2, q) == sp_order(4, q)
+    assert calls == [q, q]
+
+
+def test_counts_build_no_group_order(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("a count built a group order or a second flag count")
+
+    for name in ("sp_order", "gl_order", "unipotent_radical_order", "isotropic_flag_count"):
+        monkeypatch.setattr(symplectic, name, forbidden)
+    for count in FLAG_COUNTS.values():
+        assert count(2) == count(2) > 1

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import decimal
 import itertools
 import json
@@ -21,7 +20,6 @@ import sys
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from . import oracle
 from .dynkin import Diagram, poincare_closed, poincare_parabolic, remove_nodes
 from .entropy import (
     CoarseMap,
@@ -65,15 +63,20 @@ def _parse_dist(text: str) -> ProbVec:
         tok = tok.strip()
         if not tok:
             raise CliParseError("empty entry in distribution")
-        if "." in tok:
+        try:
+            entry = Fraction(tok)
+        except (ValueError, ZeroDivisionError) as exc:
+            if "." not in tok:
+                raise CliParseError(f"cannot parse probability {tok!r}: {exc}")
+            entry = None
+        # Fraction also reads decimal and exponent notation (0.1, 1e-1); a
+        # token it reads is in one of them exactly when it has '.', 'e' or 'E'
+        if "." in tok or "e" in tok.lower():
             raise CliParseError(
                 f"decimal probability {tok!r} not accepted; "
                 "write exact fractions like 1/3"
             )
-        try:
-            entries.append(Fraction(tok))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise CliParseError(f"cannot parse probability {tok!r}: {exc}")
+        entries.append(entry)
     try:
         return ProbVec(entries)
     except ValueError as exc:
@@ -204,6 +207,8 @@ def _emit(records: list[dict], fmt: str) -> None:
         return
     if not records:
         return
+    import csv  # only --format csv needs it; kept off the start-up path
+
     writer = csv.writer(sys.stdout, lineterminator="\n")
     keys = list(records[0].keys())
     writer.writerow(keys)
@@ -367,7 +372,10 @@ def _positive_compositions(total: int, max_parts: int):
 
 
 def _cmd_oracle_verify(args: argparse.Namespace) -> tuple[list[dict], int]:
-    if args.max_rank < 1:
+    from . import oracle  # only this command needs it; kept off the start-up path
+
+    max_rank = oracle.MAX_RANK if args.max_rank is None else args.max_rank
+    if max_rank < 1:
         raise CliParseError("--max-rank must be at least 1")
     records: list[dict] = []
     failures = 0
@@ -398,7 +406,7 @@ def _cmd_oracle_verify(args: argparse.Namespace) -> tuple[list[dict], int]:
                     multinomial(n, counts),
                 )
     if args.scope in ("all", "reflection"):
-        max_rank = min(args.max_rank, oracle.MAX_RANK)
+        max_rank = min(max_rank, oracle.MAX_RANK)
         for family in ("A", "B", "D"):
             lo = 2 if family == "D" else 1
             for rank in range(lo, max_rank + 1):
@@ -549,7 +557,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_oracle.add_argument(
         "--scope", choices=("all", "words", "reflection", "symplectic"), default="all"
     )
-    p_oracle.add_argument("--max-rank", type=int, default=oracle.MAX_RANK)
+    # default None: oracle.MAX_RANK, read when the command runs
+    p_oracle.add_argument("--max-rank", type=int)
 
     return parser
 

@@ -15,12 +15,12 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .entropy import ProbVec
 from .exact import InexactDivisionError, IntPolynomial, exact_div
+from .report import Record
 
 __all__ = [
     "FAMILIES",
@@ -42,15 +42,17 @@ FAMILIES = ("A", "B", "C", "D")
 ParabolicType = list[tuple[str, int]]
 
 
-@dataclass(frozen=True)
-class Diagram:
+class Diagram(Record):
+    __slots__ = ("family", "rank")
+
     family: str
     rank: int
 
-    def __post_init__(self) -> None:
-        _check_rank(self.family, self.rank)
-        if self.family == "D" and self.rank < 2:
+    def __init__(self, family: str, rank: int) -> None:
+        _check_rank(family, rank)
+        if family == "D" and rank < 2:
             raise ValueError("family D requires rank >= 2")
+        self._set_fields(family, rank)
 
 
 def _check_rank(family: str, rank: int) -> None:

@@ -15,11 +15,11 @@ attempt.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .dynkin import group_order
 from .exact import InexactDivisionError, IntPolynomial
+from .report import Record
 from .symplectic import gl_order, ig_count, sp_order, unipotent_radical_order
 
 __all__ = [
@@ -398,14 +398,30 @@ def _matvec(g, v, q: int) -> tuple[int, ...]:
     return tuple(sum(row[i] * v[i] for i in range(len(v))) % q for row in g)
 
 
-@dataclass(frozen=True)
-class OrbitStabilizerReport:
+class OrbitStabilizerReport(Record):
+    __slots__ = ("orbit_size", "stabilizer_size", "group_size",
+                 "expected_orbit", "expected_stabilizer", "expected_group")
+
     orbit_size: int
     stabilizer_size: int
     group_size: int
     expected_orbit: int
     expected_stabilizer: int
     expected_group: int
+
+    def __init__(
+        self,
+        orbit_size: int,
+        stabilizer_size: int,
+        group_size: int,
+        expected_orbit: int,
+        expected_stabilizer: int,
+        expected_group: int,
+    ) -> None:
+        self._set_fields(
+            orbit_size, stabilizer_size, group_size,
+            expected_orbit, expected_stabilizer, expected_group,
+        )
 
     @property
     def holds(self) -> bool:

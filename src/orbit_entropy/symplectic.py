@@ -8,10 +8,8 @@ enumerations elsewhere insist on an actual prime field.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import math
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .entropy import CoarseMap, ProbVec
 from .exact import (
@@ -21,7 +19,7 @@ from .exact import (
     q_multinomial,
     q_multinomial_exponents,
 )
-from .report import IdentityReport, chain_rule_check
+from .report import IdentityReport, Record, chain_rule_check
 from .verify import check_flag_count
 
 __all__ = [
@@ -99,25 +97,27 @@ def ig_count(s: int, n: int, q: int) -> int:
     return _flag_count((s,), n, q)
 
 
-@dataclass(frozen=True)
-class FlagType:
+class FlagType(Record):
     """Shape of an isotropic flag: dimension increments, ambient
     half-dimension, field size.  Zero increments are rejected; delete
     them upstream, where doing so visibly changes the distribution."""
+
+    __slots__ = ("increments", "n", "q")
 
     increments: tuple[int, ...]
     n: int
     q: int
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "increments", tuple(int(m) for m in self.increments))
-        _check_q(self.q)
-        if self.n < 1:
+    def __init__(self, increments: Iterable[int], n: int, q: int) -> None:
+        increments = tuple(int(m) for m in increments)
+        _check_q(q)
+        if n < 1:
             raise ValueError("half-dimension n must be positive")
-        if any(m < 1 for m in self.increments):
+        if any(m < 1 for m in increments):
             raise ValueError("flag increments must be positive")
-        if sum(self.increments) > self.n:
+        if sum(increments) > n:
             raise ValueError("total isotropic dimension cannot exceed n")
+        self._set_fields(increments, n, q)
 
 
 def isotropic_flag_count(ft: FlagType) -> int:

@@ -4,7 +4,9 @@ separation, and determinism."""
 import hashlib
 import json
 import math
+import os
 import random
+import subprocess
 import sys
 from pathlib import Path
 
@@ -194,6 +196,30 @@ def test_decimal_probability_is_a_parse_error(capsys):
     assert "fraction" in err
 
 
+@pytest.mark.parametrize(
+    "dist,token", [("1e-1,9/10", "1e-1"), ("5E-1,1/2", "5E-1"), ("1/2,5e-1", "5e-1")]
+)
+def test_exponent_probability_is_a_parse_error(dist, token, capsys):
+    # Fraction reads exponent notation as well; it is decimal notation too
+    code, out, err = run_cli(
+        ["count", "reflection", "--family", "B", "--n", "8", "--dist", dist],
+        capsys,
+    )
+    assert (code, out) == (2, "")
+    assert err == (
+        f"error: decimal probability {token!r} not accepted; "
+        "write exact fractions like 1/3\n"
+    )
+
+
+def test_unparseable_probability_is_named(capsys):
+    code, out, err = run_cli(["entropy", "--dist", "one,1/2"], capsys)
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: cannot parse probability 'one': Invalid literal for Fraction: 'one'\n"
+    )
+
+
 def test_non_integral_split_is_a_domain_error(capsys):
     code, out, err = run_cli(
         ["count", "reflection", "--family", "B", "--n", "5", "--dist", "1/2,1/2"],
@@ -312,6 +338,30 @@ def test_missing_target_flag_message(argv, message, capsys):
     assert err == f"error: {message}\n"
 
 
+# modules a CLI call must not pay for at start-up: dataclasses (with the
+# inspect it imports) is not used, csv serves only --format csv and the
+# oracle only oracle-verify
+UNUSED_AT_IMPORT = ("dataclasses", "inspect", "csv", "orbit_entropy.oracle")
+
+
+def test_cli_import_loads_no_unused_module():
+    probe = (
+        "import sys\n"
+        "import orbit_entropy\n"
+        "print('dataclasses' in sys.modules)\n"
+        "import orbit_entropy.cli\n"
+        f"print(sorted(set({UNUSED_AT_IMPORT!r}) & set(sys.modules)))\n"
+    )
+    env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
+    env["PYTHONPATH"] = str(Path(cli.__file__).parents[1])
+    # -S: no site hooks (.pth files), which may import modules themselves
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", probe], capture_output=True, text=True, env=env
+    )
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == "False\n[]\n"
+
+
 def test_unknown_subcommand_exits_two():
     with pytest.raises(SystemExit) as exc:
         cli.main(["frobnicate"])
@@ -361,6 +411,27 @@ def test_oracle_verify_max_rank_below_one_is_a_parse_error(max_rank, capsys):
     assert code == 2
     assert out == ""
     assert err == "error: --max-rank must be at least 1\n"
+
+
+ORACLE_VERIFY_HELP = """\
+usage: orbit-entropy oracle-verify [-h] [--format {json,csv}]
+                                   [--scope {all,words,reflection,symplectic}]
+                                   [--max-rank MAX_RANK]
+
+options:
+  -h, --help            show this help message and exit
+  --format {json,csv}   output format (default json, one object per line)
+  --scope {all,words,reflection,symplectic}
+  --max-rank MAX_RANK
+"""
+
+
+def test_oracle_verify_help_is_pinned(monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["oracle-verify", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == ORACLE_VERIFY_HELP
 
 
 def test_oracle_verify_csv_header(capsys):
@@ -415,8 +486,8 @@ def test_digit_limit_is_restored_after_main(capsys):
     assert (limit() if limit else None) == before
 
 
-# stdout sha256 of commands whose numbers are far past every golden file,
-# recorded before the count and output paths were made division-free
+# stdout sha256 of outputs too long for a golden file: numbers far past
+# every golden file, and the 168 lines of oracle-verify at its defaults
 BIG_OUTPUT_SHA256 = [
     (
         ["count", "symplectic", "--n", "1024", "--q", "2", "--dist", "1/4,1/4,1/2"],
@@ -442,13 +513,19 @@ BIG_OUTPUT_SHA256 = [
          "--dist", "1/8,3/8,1/2"],
         "59ed694f65f860f972bf979774eb856ec4203770208052d7b46414aa919fe1c6",
     ),
+    # every default case, 167 checks: pins which cases --max-rank's default runs
+    (
+        ["oracle-verify"],
+        "0ebad3a678fb39b292ff818f0560d83ab200cb35c6c8ebc1c9034d5e48d20a23",
+    ),
 ]
 
 
 @pytest.mark.parametrize(
     "argv,digest",
     BIG_OUTPUT_SHA256,
-    ids=["count-json", "count-csv", "chain-check", "converge-symplectic", "converge-reflection"],
+    ids=["count-json", "count-csv", "chain-check", "converge-symplectic",
+         "converge-reflection", "oracle-verify"],
 )
 def test_big_output_is_pinned(argv, digest, capsys):
     code, out, err = run_cli(argv, capsys)

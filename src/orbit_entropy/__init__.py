@@ -13,7 +13,6 @@ from .dynkin import (
     flag_factors,
     group_order,
     parabolic_for_distribution,
-    parabolic_order,
     poincare_closed,
     poincare_parabolic,
     poincare_quotient,
@@ -70,7 +69,6 @@ __all__ = [
     "flag_factors",
     "group_order",
     "parabolic_for_distribution",
-    "parabolic_order",
     "poincare_closed",
     "poincare_parabolic",
     "poincare_quotient",

@@ -19,8 +19,7 @@ from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .entropy import ProbVec
-from .exact import InexactDivisionError, IntPolynomial, exact_div
-from .report import Record
+from .exact import InexactDivisionError, IntPolynomial, Record, exact_div
 
 __all__ = [
     "FAMILIES",
@@ -28,7 +27,6 @@ __all__ = [
     "flag_factors",
     "group_order",
     "parabolic_for_distribution",
-    "parabolic_order",
     "poincare_closed",
     "poincare_parabolic",
     "poincare_quotient",
@@ -145,13 +143,6 @@ def group_order(family: str, rank: int) -> int:
     return (1 << (rank - 1)) * math.factorial(rank)
 
 
-def parabolic_order(factors: Sequence[tuple[str, int]]) -> int:
-    out = 1
-    for fam, rank in factors:
-        out *= group_order(fam, rank)
-    return out
-
-
 def _bracket_sizes(family: str, rank: int) -> tuple[int, ...]:
     # degrees of the bracket factors in the closed-form length generating
     # function of each family
@@ -265,8 +256,8 @@ def poincare_quotient(
     family: str, rank: int, factors: Sequence[tuple[str, int]]
 ) -> IntPolynomial:
     """poincare_closed(family, rank) divided by the parabolic product, as
-    one checked bracket quotient.  Factors are validated as in
-    parabolic_order, so both gradings accept the same lists."""
+    one checked bracket quotient.  Factors get the same rank checks as in
+    reflection._index, so both gradings accept the same lists."""
     _check_rank(family, rank)
     for fam, r in factors:
         _check_rank(fam, r)

@@ -14,6 +14,8 @@ import math
 from fractions import Fraction
 from typing import Iterable, Iterator
 
+from .exact import Record
+
 __all__ = [
     "CoarseMap",
     "ProbVec",
@@ -32,7 +34,7 @@ __all__ = [
 _LN2 = math.log(2)
 
 
-class ProbVec:
+class ProbVec(Record):
     """Ordered tuple of strictly positive exact probabilities summing to 1."""
 
     __slots__ = ("probs",)
@@ -47,10 +49,7 @@ class ProbVec:
             raise ValueError("probabilities must be strictly positive")
         if sum(ps) != 1:
             raise ValueError(f"probabilities sum to {sum(ps)}, not 1")
-        object.__setattr__(self, "probs", ps)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("ProbVec is immutable")
+        self._set_fields(ps)
 
     def __len__(self) -> int:
         return len(self.probs)
@@ -60,14 +59,6 @@ class ProbVec:
 
     def __getitem__(self, i: int) -> Fraction:
         return self.probs[i]
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ProbVec):
-            return NotImplemented
-        return self.probs == other.probs
-
-    def __hash__(self) -> int:
-        return hash(self.probs)
 
     def __repr__(self) -> str:
         return f"ProbVec({', '.join(str(p) for p in self.probs)})"
@@ -93,7 +84,7 @@ class ProbVec:
         return tuple(counts)
 
 
-class CoarseMap:
+class CoarseMap(Record):
     """Block sizes (b_1, ..., b_m) of an increasing surjection.
 
     Block j collects the next b_j consecutive entries of the finer vector,
@@ -110,18 +101,7 @@ class CoarseMap:
             raise ValueError("coarse map must have at least one block")
         if any(b < 1 for b in bs):
             raise ValueError("block sizes must be positive")
-        object.__setattr__(self, "blocks", bs)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("CoarseMap is immutable")
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, CoarseMap):
-            return NotImplemented
-        return self.blocks == other.blocks
-
-    def __hash__(self) -> int:
-        return hash(self.blocks)
+        self._set_fields(bs)
 
     def __repr__(self) -> str:
         return f"CoarseMap({self.blocks})"
@@ -205,38 +185,34 @@ def symplectic_entropy(dist: ProbVec) -> Fraction:
     return tsallis2(dist) / 2 + (1 - pk * pk) / 2
 
 
+def _chain_residual(outer, inner, weight, total, dist: ProbVec, cmap: CoarseMap):
+    """outer(P) - (outer(Q) + total(weight(Q_j) * f_j(P|j))), with Q the
+    pushforward, P|j the conditional, and f_j inner for each interior block
+    and outer for the last.  It is the additive counterpart of
+    report.chain_rule_check, which the entropies satisfy in the limit of
+    the normalized log counts.  A one-part block contributes a zero term."""
+    coarse = pushforward(dist, cmap)
+    parts = [
+        weight(q) * (outer if j == cmap.m else inner)(conditional(dist, cmap, j))
+        for j, q in enumerate(coarse, 1)
+    ]
+    return outer(dist) - (outer(coarse) + total(parts))
+
+
 def shannon_chain_residual(dist: ProbVec, cmap: CoarseMap) -> float:
     """H(P) minus its two-stage decomposition through the coarse map."""
-    coarse = pushforward(dist, cmap)
-    rhs = shannon(coarse) + math.fsum(
-        float(coarse[j]) * shannon(conditional(dist, cmap, j + 1))
-        for j in range(cmap.m)
-    )
-    return shannon(dist) - rhs
+    return _chain_residual(shannon, shannon, float, math.fsum, dist, cmap)
 
 
 def reflective_chain_residual(dist: ProbVec, cmap: CoarseMap) -> float:
     """Reflective analog: interior blocks contribute Shannon terms, the
     last block contributes a reflective term."""
-    coarse = pushforward(dist, cmap)
-    m = cmap.m
-    parts = [
-        float(coarse[j]) * shannon(conditional(dist, cmap, j + 1))
-        for j in range(m - 1)
-    ]
-    parts.append(float(coarse[m - 1]) * reflective(conditional(dist, cmap, m)))
-    return reflective(dist) - (reflective(coarse) + math.fsum(parts))
+    return _chain_residual(reflective, shannon, float, math.fsum, dist, cmap)
 
 
 def symplectic_chain_residual(dist: ProbVec, cmap: CoarseMap) -> Fraction:
     """Symplectic analog, exact: interior blocks contribute (q_j^2/2) H_2
     terms, the last block q_m^2 times its symplectic entropy."""
-    coarse = pushforward(dist, cmap)
-    m = cmap.m
-    rhs = symplectic_entropy(coarse)
-    for j in range(m - 1):
-        qj = coarse[j]
-        rhs += qj * qj / 2 * tsallis2(conditional(dist, cmap, j + 1))
-    qm = coarse[m - 1]
-    rhs += qm * qm * symplectic_entropy(conditional(dist, cmap, m))
-    return symplectic_entropy(dist) - rhs
+    return _chain_residual(
+        symplectic_entropy, lambda d: tsallis2(d) / 2, lambda q: q * q, sum, dist, cmap
+    )

@@ -1,4 +1,5 @@
-"""Exact integer, q-integer, and polynomial arithmetic.
+"""Exact integer, q-integer, and polynomial arithmetic, and Record, the
+base of every immutable value in the package.
 
 Counts are plain Python ints, so there is no overflow at any input size.
 Division helpers never round: a nonzero remainder means some counting
@@ -14,6 +15,7 @@ from typing import Iterable, Sequence
 __all__ = [
     "InexactDivisionError",
     "IntPolynomial",
+    "Record",
     "cyclotomic_product",
     "exact_div",
     "multinomial",
@@ -22,6 +24,44 @@ __all__ = [
     "q_multinomial",
     "q_multinomial_exponents",
 ]
+
+
+class Record:
+    """Base of an immutable value whose fields are its __slots__: equal
+    and hashed by field values, copied and pickled through its constructor,
+    with a constructor-style repr unless the subclass writes its own.  A
+    subclass's __init__ takes the fields in slot order, validates them and
+    stores them with _set_fields; nothing can assign to them afterwards."""
+
+    __slots__ = ()
+
+    def _set_fields(self, *values: object) -> None:
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{n}={v!r}" for n, v in zip(self.__slots__, self._values()))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._values()
 
 
 class InexactDivisionError(ArithmeticError):
@@ -128,7 +168,7 @@ def q_multinomial(n: int, parts: Sequence[int], q: int) -> int:
     return cyclotomic_product(q_multinomial_exponents(n, parts), q)
 
 
-class IntPolynomial:
+class IntPolynomial(Record):
     """Dense polynomial with integer coefficients, immutable.
 
     Coefficients are stored lowest degree first with trailing zeros
@@ -143,10 +183,7 @@ class IntPolynomial:
         cs = list(coeffs)
         while cs and cs[-1] == 0:
             cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("IntPolynomial is immutable")
+        self._set_fields(tuple(cs))
 
     @classmethod
     def one(cls) -> "IntPolynomial":
@@ -160,14 +197,6 @@ class IntPolynomial:
     def degree(self) -> int:
         """Degree, with the zero polynomial assigned -1."""
         return len(self.coeffs) - 1
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, IntPolynomial):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
 
     def __repr__(self) -> str:
         return f"IntPolynomial({self.coeffs})"

@@ -18,8 +18,7 @@ import itertools
 from typing import Iterable, Sequence
 
 from .dynkin import group_order
-from .exact import InexactDivisionError, IntPolynomial
-from .report import Record
+from .exact import InexactDivisionError, IntPolynomial, Record
 from .symplectic import gl_order, ig_count, sp_order, unipotent_radical_order
 
 __all__ = [

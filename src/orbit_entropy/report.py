@@ -1,50 +1,14 @@
-"""Immutable records, the result record for exact identity checks, and
-the chain rule every orbit count satisfies under coarse-graining."""
+"""The result record for exact identity checks, and the chain rule every
+orbit count satisfies under coarse-graining."""
 
 from __future__ import annotations
 
 from typing import Any
 
 from .entropy import CoarseMap, ProbVec, conditional, pushforward
+from .exact import Record
 
-__all__ = ["Record", "IdentityReport", "chain_rule_check"]
-
-
-class Record:
-    """Base of an immutable value whose fields are its __slots__: equal
-    and hashed by field values, with a constructor-style repr.  A
-    subclass's __init__ takes the fields in slot order, validates them and
-    stores them with _set_fields; nothing can assign to them afterwards."""
-
-    __slots__ = ()
-
-    def _set_fields(self, *values: object) -> None:
-        for name, value in zip(self.__slots__, values, strict=True):
-            object.__setattr__(self, name, value)
-
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not type(self):
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __hash__(self) -> int:
-        return hash(self._values())
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{n}={v!r}" for n, v in zip(self.__slots__, self._values()))
-        return f"{type(self).__qualname__}({fields})"
-
-    def __reduce__(self) -> tuple:
-        return type(self), self._values()
+__all__ = ["IdentityReport", "chain_rule_check"]
 
 
 class IdentityReport(Record):

@@ -13,13 +13,14 @@ from typing import Iterable, Sequence
 
 from .entropy import CoarseMap, ProbVec
 from .exact import (
+    Record,
     cyclotomic_product,
     product,
     q_factorial,
     q_multinomial,
     q_multinomial_exponents,
 )
-from .report import IdentityReport, Record, chain_rule_check
+from .report import IdentityReport, chain_rule_check
 from .verify import check_flag_count
 
 __all__ = [

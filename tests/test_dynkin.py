@@ -2,6 +2,7 @@
 and the length generating polynomials."""
 
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -14,7 +15,6 @@ from orbit_entropy.dynkin import (
     flag_factors,
     group_order,
     parabolic_for_distribution,
-    parabolic_order,
     poincare_closed,
     poincare_parabolic,
     poincare_quotient,
@@ -23,10 +23,10 @@ from orbit_entropy.dynkin import (
 )
 from orbit_entropy.entropy import ProbVec
 from orbit_entropy.exact import InexactDivisionError, IntPolynomial
+from orbit_entropy.reflection import _index
 
 
 def test_group_order_table():
-    import math
     for r in range(1, 9):
         assert group_order("A", r) == math.factorial(r + 1)
         assert group_order("B", r) == 2 ** r * math.factorial(r)
@@ -126,12 +126,6 @@ def test_nested_removal_composes(case):
     assert sorted(staged) == direct
 
 
-def test_parabolic_order_is_product():
-    assert parabolic_order([]) == 1
-    assert parabolic_order([("A", 3), ("B", 3)]) == 24 * 48
-    assert parabolic_order([("D", 1)]) == 1
-
-
 def test_poincare_closed_small_cases():
     assert poincare_closed("A", 1).coeffs == (1, 1)
     assert poincare_closed("A", 2).coeffs == (1, 2, 2, 1)
@@ -196,18 +190,17 @@ def test_poincare_quotient_value_at_one_is_index(case):
     diagram, removed = case
     factors = remove_nodes(diagram, removed)
     quot = poincare_quotient(diagram.family, diagram.rank, factors)
-    assert quot(1) * parabolic_order(factors) == group_order(
-        diagram.family, diagram.rank
-    )
+    parabolic = math.prod(group_order(f, r) for f, r in factors)
+    assert quot(1) * parabolic == group_order(diagram.family, diagram.rank)
 
 
 @pytest.mark.parametrize(
     "factors", ([("E", 2)], [("A", 0)], [("A", -3)], [("X", 1)]), ids=repr
 )
 def test_both_gradings_reject_the_same_factors(factors):
-    # the int quotient and the length-graded quotient accept the same lists
+    # the cardinality and the length-graded quotients accept the same lists
     with pytest.raises(ValueError):
-        parabolic_order(factors)
+        _index("A", 5, factors)
     with pytest.raises(ValueError):
         poincare_quotient("A", 5, factors)
 
@@ -261,7 +254,7 @@ def test_parabolic_for_distribution_orders_multiply_correctly():
     # rank-3 ambient diagram cut at node 2, leaving two rank-1 factors
     _, _, factors = parabolic_for_distribution("B", 4, ProbVec(("1/2", "1/2")))
     assert factors == [("A", 1), ("B", 1)]
-    assert parabolic_order(factors) == 2 * 2
+    assert math.prod(group_order(f, r) for f, r in factors) == 2 * 2
 
 
 def test_flag_factors_match_the_diagram_graph():

@@ -1,8 +1,10 @@
 """Distribution plumbing and the four entropy functionals, including the
 exactness of the rational chain-rule residual."""
 
+import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -135,6 +137,26 @@ def test_chain_residuals_on_the_worked_example():
     assert abs(shannon_chain_residual(SKEW, cmap)) < 1e-12
     assert abs(reflective_chain_residual(SKEW, cmap)) < 1e-12
     assert symplectic_chain_residual(SKEW, cmap) == 0
+
+
+def test_chain_residuals_match_the_pinned_grid():
+    # 210 seeded (P, coarse map) pairs of 1 to 7 parts, with one-part blocks
+    # and the one-block map among them, recorded before the three residuals
+    # shared one body: the float residuals must agree bit for bit, the
+    # signed zeros included, and the rational one exactly
+    grid = Path(__file__).parent / "golden" / "entropy_chain_residuals.jsonl"
+    rows = [json.loads(line) for line in grid.read_text().splitlines()]
+    assert len(rows) == 210
+    for row in rows:
+        dist, cmap = ProbVec(row["dist"]), CoarseMap(row["blocks"])
+        shannon_r = shannon_chain_residual(dist, cmap)
+        reflective_r = reflective_chain_residual(dist, cmap)
+        symplectic_r = symplectic_chain_residual(dist, cmap)
+        assert type(shannon_r) is float and type(reflective_r) is float
+        assert type(symplectic_r) is Fraction
+        assert shannon_r.hex() == row["shannon"], row
+        assert reflective_r.hex() == row["reflective"], row
+        assert symplectic_r == Fraction(row["symplectic"]), row
 
 
 @st.composite

@@ -1,12 +1,20 @@
-"""Value semantics of the four immutable records: equality, hashing,
-immutability, repr, construction and validation messages."""
+"""Value semantics of the seven immutable values on the one Record base:
+equality, hashing, immutability, repr, copy and pickle, construction and
+validation messages."""
 
 import copy
+import importlib
+import inspect
 import pickle
+import pkgutil
+from fractions import Fraction
 
 import pytest
 
+import orbit_entropy
 from orbit_entropy.dynkin import Diagram
+from orbit_entropy.entropy import CoarseMap, ProbVec
+from orbit_entropy.exact import IntPolynomial, Record
 from orbit_entropy.oracle import OrbitStabilizerReport
 from orbit_entropy.report import IdentityReport
 from orbit_entropy.symplectic import FlagType
@@ -20,27 +28,36 @@ ORBIT_FIELDS = dict(
     expected_group=720,
 )
 
-# (record, an equal record built separately, an unequal record, its repr)
+# (value, an equal value built separately, an unequal value, its repr, the
+# name of a field)
 CASES = [
     (Diagram("A", 5), Diagram(family="A", rank=5), Diagram("B", 5),
-     "Diagram(family='A', rank=5)"),
+     "Diagram(family='A', rank=5)", "family"),
     (FlagType((1, 2), 3, 2), FlagType([1, 2], n=3, q=2), FlagType((2, 1), 3, 2),
-     "FlagType(increments=(1, 2), n=3, q=2)"),
+     "FlagType(increments=(1, 2), n=3, q=2)", "increments"),
     (IdentityReport(6, 6), IdentityReport(lhs=6, rhs=6), IdentityReport(6, 7),
-     "IdentityReport(lhs=6, rhs=6)"),
+     "IdentityReport(lhs=6, rhs=6)", "lhs"),
     (
         OrbitStabilizerReport(**ORBIT_FIELDS),
         OrbitStabilizerReport(*ORBIT_FIELDS.values()),
         OrbitStabilizerReport(**{**ORBIT_FIELDS, "orbit_size": 14}),
         "OrbitStabilizerReport(orbit_size=15, stabilizer_size=48, group_size=720, "
         "expected_orbit=15, expected_stabilizer=48, expected_group=720)",
+        "orbit_size",
     ),
+    (ProbVec(("1/2", "1/4", "1/4")), ProbVec([Fraction(1, 2), "1/4", Fraction(2, 8)]),
+     ProbVec(("1/4", "1/4", "1/2")), "ProbVec(1/2, 1/4, 1/4)", "probs"),
+    (CoarseMap((2, 1)), CoarseMap([2, 1]), CoarseMap((1, 2)),
+     "CoarseMap((2, 1))", "blocks"),
+    (IntPolynomial((1, 2, 1)), IntPolynomial([1, 2, 1, 0, 0]), IntPolynomial((1, 2)),
+     "IntPolynomial((1, 2, 1))", "coeffs"),
 ]
 IDS = [type(c[0]).__name__ for c in CASES]
+PARAMS = "record,equal,unequal,text,field"
 
 
-@pytest.mark.parametrize("record,equal,unequal,text", CASES, ids=IDS)
-def test_equality_and_hash(record, equal, unequal, text):
+@pytest.mark.parametrize(PARAMS, CASES, ids=IDS)
+def test_equality_and_hash(record, equal, unequal, text, field):
     assert record == equal and not record != equal
     assert hash(record) == hash(equal)
     assert record != unequal and not record == unequal
@@ -48,14 +65,13 @@ def test_equality_and_hash(record, equal, unequal, text):
     assert record != text
 
 
-@pytest.mark.parametrize("record,equal,unequal,text", CASES, ids=IDS)
-def test_repr(record, equal, unequal, text):
+@pytest.mark.parametrize(PARAMS, CASES, ids=IDS)
+def test_repr(record, equal, unequal, text, field):
     assert repr(record) == text
 
 
-@pytest.mark.parametrize("record,equal,unequal,text", CASES, ids=IDS)
-def test_assignment_raises(record, equal, unequal, text):
-    field = text[text.index("(") + 1:text.index("=")]
+@pytest.mark.parametrize(PARAMS, CASES, ids=IDS)
+def test_assignment_raises(record, equal, unequal, text, field):
     before = getattr(record, field)
     with pytest.raises(AttributeError):
         setattr(record, field, 0)
@@ -64,11 +80,29 @@ def test_assignment_raises(record, equal, unequal, text):
     assert getattr(record, field) == before
 
 
-@pytest.mark.parametrize("record,equal,unequal,text", CASES, ids=IDS)
-def test_copy_and_pickle_keep_the_value(record, equal, unequal, text):
+@pytest.mark.parametrize(PARAMS, CASES, ids=IDS)
+def test_copy_and_pickle_keep_the_value(record, equal, unequal, text, field):
     assert copy.copy(record) == record
     assert copy.deepcopy(record) == record
     assert pickle.loads(pickle.dumps(record)) == record
+
+
+def test_int_polynomial_strips_trailing_zeros_before_comparing():
+    assert IntPolynomial((1, 2, 0)) == IntPolynomial((1, 2))
+    assert hash(IntPolynomial((1, 2, 0))) == hash(IntPolynomial((1, 2)))
+
+
+def test_every_slotted_class_is_a_record():
+    # one value idiom: a class that declares fields in __slots__ gets its
+    # immutability, equality, hash and pickling from Record
+    slotted = []
+    for info in pkgutil.iter_modules(orbit_entropy.__path__):
+        module = importlib.import_module(f"orbit_entropy.{info.name}")
+        for _, cls in inspect.getmembers(module, inspect.isclass):
+            if cls.__module__ == module.__name__ and cls.__dict__.get("__slots__"):
+                slotted.append(cls)
+                assert issubclass(cls, Record), cls.__qualname__
+    assert {cls.__name__ for cls in slotted} >= set(IDS)
 
 
 def test_fields_are_readable_by_name():

@@ -22,7 +22,6 @@ from .dynkin import (
 from .entropy import (
     CoarseMap,
     ProbVec,
-    compose,
     conditional,
     pushforward,
     reflective,
@@ -76,7 +75,6 @@ __all__ = [
     "surviving_components",
     "CoarseMap",
     "ProbVec",
-    "compose",
     "conditional",
     "pushforward",
     "reflective",

@@ -17,10 +17,10 @@ import decimal
 import itertools
 import json
 import sys
+from collections.abc import Iterator, Sequence
 from fractions import Fraction
-from typing import Iterator, Sequence
 
-from .dynkin import Diagram, poincare_closed, poincare_parabolic, remove_nodes
+from .dynkin import FAMILIES, Diagram, poincare_closed, poincare_parabolic, remove_nodes
 from .entropy import (
     CoarseMap,
     ProbVec,
@@ -510,7 +510,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_count = sub.add_parser("count", parents=[common], help="exact cardinalities")
     p_count.add_argument("kind", choices=("reflection", "symplectic", "isotropic"))
-    p_count.add_argument("--family", choices=("A", "B", "C", "D"))
+    p_count.add_argument("--family", choices=FAMILIES)
     p_count.add_argument("--n", type=int)
     p_count.add_argument("--q", type=int)
     p_count.add_argument("--s", type=int)
@@ -527,7 +527,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_conv = sub.add_parser("converge", parents=[common], help="convergence sweep")
     p_conv.add_argument("kind", choices=("reflection", "symplectic"))
-    p_conv.add_argument("--family", choices=("A", "B", "C", "D"))
+    p_conv.add_argument("--family", choices=FAMILIES)
     p_conv.add_argument("--q", type=int)
     p_conv.add_argument("--dist", required=True)
     p_conv.add_argument("--n", required=True, help="comma-separated schedule, e.g. 8,16,32")
@@ -547,7 +547,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_chain.add_argument("--dist", required=True)
     p_chain.add_argument("--blocks", required=True, help="coarse block sizes, e.g. 2,1")
-    p_chain.add_argument("--family", choices=("A", "B", "C", "D"))
+    p_chain.add_argument("--family", choices=FAMILIES)
     p_chain.add_argument("--n", type=int)
     p_chain.add_argument("--q", type=int)
 

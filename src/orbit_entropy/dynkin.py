@@ -15,11 +15,11 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
+from collections.abc import Iterable, Sequence
 from functools import lru_cache
-from typing import Iterable, Sequence
 
 from .entropy import ProbVec
-from .exact import InexactDivisionError, IntPolynomial, Record, exact_div
+from .exact import InexactDivisionError, IntPolynomial, Record, _integral, exact_div
 
 __all__ = [
     "FAMILIES",
@@ -60,67 +60,34 @@ def _check_rank(family: str, rank: int) -> None:
         raise ValueError("rank must be at least 1")
 
 
-def _adjacency(diagram: Diagram) -> dict[int, list[int]]:
-    m = diagram.rank
-    adj: dict[int, list[int]] = {i: [] for i in range(1, m + 1)}
-    if diagram.family == "D":
-        edges = [(i, i + 1) for i in range(1, m - 1)]
-        if m >= 3:
-            edges.append((m - 2, m))
-    else:
-        edges = [(i, i + 1) for i in range(1, m)]
-    for a, b in edges:
-        adj[a].append(b)
-        adj[b].append(a)
-    return adj
-
-
-def _normalize_removed(diagram: Diagram, removed: Iterable[int]) -> tuple[int, ...]:
-    rm = tuple(sorted(int(r) for r in removed))
-    for r in rm:
-        if not 1 <= r <= diagram.rank:
-            raise ValueError(f"node {r} outside 1..{diagram.rank}")
-    if len(set(rm)) != len(rm):
-        raise ValueError("removal set has repeated nodes")
-    return rm
-
-
 def surviving_components(
     diagram: Diagram, removed: Iterable[int]
 ) -> list[tuple[tuple[int, ...], str]]:
     """Connected components of the surviving nodes, ordered by lowest
     index, each labeled with the family of the group it generates."""
-    rm = set(_normalize_removed(diagram, removed))
-    alive = [i for i in range(1, diagram.rank + 1) if i not in rm]
-    adj = _adjacency(diagram)
-    seen: set[int] = set()
-    comps: list[tuple[int, ...]] = []
-    for start in alive:
-        if start in seen:
-            continue
-        stack = [start]
-        comp = []
-        seen.add(start)
-        while stack:
-            v = stack.pop()
-            comp.append(v)
-            for w in adj[v]:
-                if w not in rm and w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        comps.append(tuple(sorted(comp)))
-    comps.sort(key=lambda c: c[0])
-    m = diagram.rank
-    out = []
-    for comp in comps:
-        if diagram.family in ("B", "C"):
-            fam = diagram.family if m in comp else "A"
-        elif diagram.family == "D":
-            fam = "D" if (m in comp and m - 1 in comp) else "A"
-        else:
-            fam = "A"
-        out.append((comp, fam))
-    return out
+    family, m = diagram.family, diagram.rank
+    rm = sorted(_integral(removed, "removed nodes"))
+    for r in rm:
+        if not 1 <= r <= m:
+            raise ValueError(f"node {r} outside 1..{m}")
+    dead = set(rm)
+    if len(dead) != len(rm):
+        raise ValueError("removal set has repeated nodes")
+    # every node but the first has one edge to a lower node, its parent:
+    # v - 1, except D's tip m, whose parent is m - 2; so one ascending pass
+    # gives each surviving node the lowest node of its component as root
+    root: dict[int, int] = {}
+    comps: dict[int, list[int]] = {}
+    for v in range(1, m + 1):
+        if v not in dead:
+            r = root[v] = root.get(v - 2 if family == "D" and v == m else v - 1, v)
+            comps.setdefault(r, []).append(v)
+    # the component holding node m keeps the family; for D it must also
+    # hold the other tip m - 1
+    last = root.get(m)
+    if family == "D" and root.get(m - 1) != last:
+        last = None
+    return [(tuple(nodes), family if r == last else "A") for r, nodes in comps.items()]
 
 
 def remove_nodes(diagram: Diagram, removed: Iterable[int]) -> ParabolicType:
@@ -129,23 +96,21 @@ def remove_nodes(diagram: Diagram, removed: Iterable[int]) -> ParabolicType:
 
 
 def group_order(family: str, rank: int) -> int:
-    """Order of the reflection group: (rank+1)!, 2^rank rank!, or
-    2^{rank-1} rank! for A, B/C, or D.
+    """Order of the reflection group, the product of its degrees:
+    (rank+1)!, 2^rank rank!, or 2^{rank-1} rank! for A, B/C, or D.
 
     Rank 1 is accepted for every family so that degenerate tail factors
     keep the uniform closed forms; the D value at rank 1 is 1.
     """
     _check_rank(family, rank)
-    if family == "A":
-        return math.factorial(rank + 1)
-    if family in ("B", "C"):
-        return (1 << rank) * math.factorial(rank)
-    return (1 << (rank - 1)) * math.factorial(rank)
+    return math.prod(_bracket_sizes(family, rank))
 
 
 def _bracket_sizes(family: str, rank: int) -> tuple[int, ...]:
-    # degrees of the bracket factors in the closed-form length generating
-    # function of each family
+    # the degrees of the family's reflection group, the package's one
+    # degree table: the bracket sizes of its length generating function,
+    # with product the group order (Humphreys 1990, ch. 3); verify builds
+    # the orders of the groups of Lie type from them too
     if family == "A":
         return tuple(range(2, rank + 2))
     if family in ("B", "C"):

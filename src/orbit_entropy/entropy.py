@@ -11,15 +11,14 @@ counterpart.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Iterator
 from fractions import Fraction
-from typing import Iterable, Iterator
 
-from .exact import Record
+from .exact import Record, _integral
 
 __all__ = [
     "CoarseMap",
     "ProbVec",
-    "compose",
     "conditional",
     "pushforward",
     "reflective",
@@ -96,7 +95,7 @@ class CoarseMap(Record):
     blocks: tuple[int, ...]
 
     def __init__(self, blocks: Iterable[int]) -> None:
-        bs = tuple(int(b) for b in blocks)
+        bs = _integral(blocks, "block sizes")
         if not bs:
             raise ValueError("coarse map must have at least one block")
         if any(b < 1 for b in bs):
@@ -142,20 +141,6 @@ def conditional(dist: ProbVec, cmap: CoarseMap, j: int) -> ProbVec:
     block = dist.probs[start:start + cmap.blocks[j - 1]]
     total = sum(block, Fraction(0))
     return ProbVec(p / total for p in block)
-
-
-def compose(outer: CoarseMap, inner: CoarseMap) -> CoarseMap:
-    """Coarse map equal to applying ``inner`` first, then ``outer``."""
-    if outer.domain_size != inner.m:
-        raise ValueError(
-            f"outer map covers {outer.domain_size} blocks, inner produces {inner.m}"
-        )
-    out = []
-    start = 0
-    for b in outer.blocks:
-        out.append(sum(inner.blocks[start:start + b]))
-        start += b
-    return CoarseMap(out)
 
 
 def _ln(p: Fraction) -> float:

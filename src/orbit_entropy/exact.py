@@ -10,7 +10,7 @@ identity was violated upstream, and that is reported as
 from __future__ import annotations
 
 import math
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
 __all__ = [
     "InexactDivisionError",
@@ -76,6 +76,15 @@ def exact_div(numerator: int, denominator: int) -> int:
             f"{numerator} is not divisible by {denominator}"
         )
     return quotient
+
+
+def _integral(values: Iterable[object], what: str) -> tuple[int, ...]:
+    # the values as ints: True and 2.0 pass, 2.7 raises ValueError
+    given = tuple(values)
+    ints = tuple(map(int, given))
+    if ints != given:
+        raise ValueError(f"{what} must be integers")
+    return ints
 
 
 def multinomial(n: int, parts: Sequence[int]) -> int:

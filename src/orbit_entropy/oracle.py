@@ -15,11 +15,12 @@ attempt.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
 from .dynkin import group_order
 from .exact import InexactDivisionError, IntPolynomial, Record
-from .symplectic import gl_order, ig_count, sp_order, unipotent_radical_order
+from .symplectic import ig_count, sp_order
+from .verify import _flag_stabilizer_order, _order
 
 __all__ = [
     "MAX_WORD_LENGTH",
@@ -433,8 +434,8 @@ class OrbitStabilizerReport(Record):
 
 def stabilizer_and_orbit_check(s: int, n: int, q: int = 2) -> OrbitStabilizerReport:
     """Acts the enumerated group on the coordinate isotropic subspace
-    spanned by the first s basis vectors and compares orbit and
-    stabilizer sizes with the closed forms."""
+    spanned by the first s basis vectors and compares the orbit size with
+    ig_count and the stabilizer size with the |P| its proof uses."""
     _check_field(q)
     if (n, q) not in SP_FEASIBLE:
         raise ValueError(f"enumeration feasible only for (n, q) in {sorted(SP_FEASIBLE)}")
@@ -455,8 +456,6 @@ def stabilizer_and_orbit_check(s: int, n: int, q: int = 2) -> OrbitStabilizerRep
         stabilizer_size=stabilizer,
         group_size=len(group),
         expected_orbit=ig_count(s, n, q),
-        expected_stabilizer=unipotent_radical_order(s, n, q)
-        * gl_order(s, q)
-        * sp_order(n - s, q),
+        expected_stabilizer=_order(_flag_stabilizer_order((s,), n), q),
         expected_group=sp_order(n, q),
     )

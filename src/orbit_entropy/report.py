@@ -3,8 +3,6 @@ orbit count satisfies under coarse-graining."""
 
 from __future__ import annotations
 
-from typing import Any
-
 from .entropy import CoarseMap, ProbVec, conditional, pushforward
 from .exact import Record
 
@@ -17,10 +15,10 @@ class IdentityReport(Record):
 
     __slots__ = ("lhs", "rhs")
 
-    lhs: Any
-    rhs: Any
+    lhs: object
+    rhs: object
 
-    def __init__(self, lhs: Any, rhs: Any) -> None:
+    def __init__(self, lhs: object, rhs: object) -> None:
         self._set_fields(lhs, rhs)
 
     @property
@@ -28,7 +26,7 @@ class IdentityReport(Record):
         return self.lhs == self.rhs
 
     @property
-    def residual(self) -> Any:
+    def residual(self) -> object:
         return self.lhs - self.rhs
 
 

@@ -9,19 +9,19 @@ enumerations elsewhere insist on an actual prime field.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
 from .entropy import CoarseMap, ProbVec
-from .exact import (
-    Record,
-    cyclotomic_product,
-    product,
-    q_factorial,
-    q_multinomial,
-    q_multinomial_exponents,
-)
+from .exact import Record, _integral, cyclotomic_product, q_multinomial
 from .report import IdentityReport, chain_rule_check
-from .verify import check_flag_count
+from .verify import (
+    _flag_stabilizer_order,
+    _gl_degrees,
+    _order,
+    _reductive_order,
+    _symplectic_order,
+    check_flag_count,
+)
 
 __all__ = [
     "FlagType",
@@ -41,23 +41,26 @@ def _check_q(q: int) -> None:
         raise ValueError("field size q must be at least 2")
 
 
-def _plus_one_tail(lo: int, hi: int, exponents: list[int]) -> None:
-    # adds the exponents of the product of (q^j + 1) for lo < j <= hi:
-    # q^j + 1 = (q^2j - 1) / (q^j - 1) is the product of Phi_d(q) over the
-    # d that divide 2j but not j, the even d with j an odd multiple of d/2
-    for d in range(2, 2 * hi + 1, 2):
-        h = d // 2
-        exponents[d] += hi // h - lo // h - (hi // d - lo // d)
+def _c_multiples(k: int, d: int) -> int:
+    # how many of 2, 4, ..., 2k the integer d divides
+    return k // (d // math.gcd(d, 2))
+
+
+def _flag_exponents(blocks: Sequence[int], n: int) -> list[int]:
+    # e_d of Phi_d(q), 0 <= d <= 2n, in the flag count |Sp_n| / |P|: each
+    # order is a power of q times q^j - 1 over its degrees j, which are 2,
+    # 4, ..., 2n for Sp_n and 1, ..., m per block and 2, 4, ..., 2r for the
+    # Levi of P, r = n - sum(blocks); q^j - 1 is prod Phi_d(q) over d | j
+    r = n - sum(blocks)
+    return [0] + [
+        _c_multiples(n, d) - sum(m // d for m in blocks) - _c_multiples(r, d)
+        for d in range(1, 2 * n + 1)
+    ]
 
 
 def _flag_count(blocks: Sequence[int], n: int, q: int) -> int:
-    # isotropic flags with these increments in a 2n-dimensional space: the
-    # q-multinomial of (blocks, r) times the product of (q^j + 1) for
-    # r < j <= n, r = n - sum(blocks), as one exponent vector over Phi_d(q),
-    # d <= 2n, evaluated once and checked by verify.check_flag_count
-    r = n - sum(blocks)
-    exponents = q_multinomial_exponents(n, (*blocks, r)) + [0] * n
-    _plus_one_tail(r, n, exponents)
+    # the exponent vector, evaluated once and checked by verify.check_flag_count
+    exponents = _flag_exponents(blocks, n)
     value = cyclotomic_product(exponents, q)
     check_flag_count(blocks, n, q, exponents, value)
     return value
@@ -68,7 +71,7 @@ def gl_order(m: int, q: int) -> int:
     _check_q(q)
     if m < 0:
         raise ValueError("m must be nonnegative")
-    return q ** (m * (m - 1) // 2) * q_factorial(m, q)
+    return _order(_reductive_order(_gl_degrees(m)), q)
 
 
 def sp_order(n: int, q: int) -> int:
@@ -77,7 +80,7 @@ def sp_order(n: int, q: int) -> int:
     _check_q(q)
     if n < 0:
         raise ValueError("n must be nonnegative")
-    return q ** (n * n) * product(q ** (2 * i) - 1 for i in range(1, n + 1))
+    return _order(_symplectic_order(n), q)
 
 
 def unipotent_radical_order(s: int, n: int, q: int) -> int:
@@ -86,7 +89,8 @@ def unipotent_radical_order(s: int, n: int, q: int) -> int:
     _check_q(q)
     if not 0 <= s <= n:
         raise ValueError("need 0 <= s <= n")
-    return q ** (s * (s + 1) // 2 + 2 * s * (n - s))
+    power, levi = _flag_stabilizer_order((s,), n)
+    return q ** (power - _reductive_order(levi)[0])
 
 
 def ig_count(s: int, n: int, q: int) -> int:
@@ -110,7 +114,7 @@ class FlagType(Record):
     q: int
 
     def __init__(self, increments: Iterable[int], n: int, q: int) -> None:
-        increments = tuple(int(m) for m in increments)
+        increments = _integral(increments, "flag increments")
         _check_q(q)
         if n < 1:
             raise ValueError("half-dimension n must be positive")

@@ -7,13 +7,17 @@ its value to ``check_flag_count``.  The check proves the orbit-stabilizer
 identity count * |P| = |Sp_n| in two steps, and builds a group order as a
 big integer only in the fallback of step 2:
 
-1. Symbolic proof.  Both group orders are q^a times a product of factors
-   q^j - 1, and q^j - 1 is the product of Phi_d(q) over the divisors d of
-   j, so the identity holds as polynomials in q exactly when the powers of
-   q agree and, for every d, e_d of the count equals the number of group
-   factors q^j - 1 with d | j, those of |Sp_n| counted positive and those
-   of |P| negative.  The exponents come from the factor lists, not from
-   the floor formula the closed form uses.
+1. Symbolic proof.  A split reductive group with degrees d_i has order
+   q^N prod(q^{d_i} - 1), N = sum(d_i - 1) its number of positive roots.
+   |Sp_n| takes the type-C degrees 2, 4, ..., 2n.  |P| takes the degrees
+   of its Levi factor GL_{m_1} x ... x GL_{m_k} x Sp_r, r = n - sum m,
+   and the power of q of Sp_n, because the unipotent radical holds
+   exactly the positive roots outside the Levi.  q^j - 1 is the product
+   of Phi_d(q) over the divisors d of j, so the identity holds as
+   polynomials in q exactly when the powers of q agree and, for every d,
+   e_d of the count equals the number of degrees j with d | j, those of
+   |Sp_n| counted positive and those of |P| negative.  The degrees come
+   from dynkin's table, not from the floor formula the closed form uses.
 2. Residue check.  The returned integer is compared modulo each of PRIMES
    with an O(n) evaluation of the same group orders mod p, which uses
    neither the Phi_d(q) table nor ``exact.product``.  A prime where |P| is
@@ -23,15 +27,16 @@ big integer only in the fallback of step 2:
 The flag-count identity count = ig_count(s) * q_multinomial(s, m), with
 s = sum m, written through group orders, is this factorization for the
 same P, so one proof covers both.  Any failure raises
-``InexactDivisionError``.
+``InexactDivisionError``.  The public orders ``gl_order``, ``sp_order``
+and ``unipotent_radical_order`` evaluate the same group orders.
 """
 
 from __future__ import annotations
 
-import math
-from typing import Sequence
+from collections.abc import Iterable, Sequence
 
-from .exact import InexactDivisionError
+from .dynkin import _bracket_sizes
+from .exact import InexactDivisionError, product
 
 __all__ = ["PRIMES", "check_flag_count"]
 
@@ -44,20 +49,24 @@ PRIMES = (2**61 - 2373, 2**61 - 3153, 2**61 - 7245)
 GroupOrder = tuple[int, list[int]]
 
 
+def _reductive_order(degrees: Iterable[int]) -> GroupOrder:
+    js = list(degrees)
+    return sum(j - 1 for j in js), js
+
+
+def _gl_degrees(m: int) -> list[int]:
+    # those of SL_m, of type A_{m-1}, and the degree 1 of the centre
+    return [1, *_bracket_sizes("A", m - 1)] if m else []
+
+
 def _symplectic_order(n: int) -> GroupOrder:
-    return n * n, [2 * i for i in range(1, n + 1)]
+    return _reductive_order(_bracket_sizes("C", n))
 
 
 def _flag_stabilizer_order(blocks: Sequence[int], n: int) -> GroupOrder:
-    # Levi factor GL_{m_1} x ... x GL_{m_k} x Sp_r, r = n - sum m, and a
-    # unipotent radical of dimension (dim Sp_n - dim Levi) / 2, where
-    # dim Sp_m = m(2m + 1) and dim GL_m = m^2
-    r = n - sum(blocks)
-    levi = sum(m * m for m in blocks) + r * (2 * r + 1)
-    unipotent = (n * (2 * n + 1) - levi) // 2
-    power = unipotent + sum(m * (m - 1) // 2 for m in blocks) + r * r
-    js = [j for m in blocks for j in range(1, m + 1)]
-    return power, js + [2 * i for i in range(1, r + 1)]
+    levi = [j for m in blocks for j in _gl_degrees(m)]
+    levi += _bracket_sizes("C", n - sum(blocks))
+    return _symplectic_order(n)[0], levi
 
 
 def _proves(exponents: Sequence[int], stabilizer: GroupOrder, group: GroupOrder) -> bool:
@@ -83,7 +92,7 @@ def _order_mod(order: GroupOrder, q: int, p: int) -> int:
 
 def _order(order: GroupOrder, q: int) -> int:
     a, js = order
-    return q**a * math.prod(q**j - 1 for j in js)
+    return q**a * product(q**j - 1 for j in js)
 
 
 def check_flag_count(

@@ -339,9 +339,9 @@ def test_missing_target_flag_message(argv, message, capsys):
 
 
 # modules a CLI call must not pay for at start-up: dataclasses (with the
-# inspect it imports) is not used, csv serves only --format csv and the
-# oracle only oracle-verify
-UNUSED_AT_IMPORT = ("dataclasses", "inspect", "csv", "orbit_entropy.oracle")
+# inspect it imports) is not used, typing would serve annotations only, csv
+# serves only --format csv and the oracle only oracle-verify
+UNUSED_AT_IMPORT = ("dataclasses", "inspect", "typing", "csv", "orbit_entropy.oracle")
 
 
 def test_cli_import_loads_no_unused_module():
@@ -432,6 +432,73 @@ def test_oracle_verify_help_is_pinned(monkeypatch, capsys):
         cli.main(["oracle-verify", "--help"])
     assert exc.value.code == 0
     assert capsys.readouterr().out == ORACLE_VERIFY_HELP
+
+
+# recorded before --family read dynkin.FAMILIES
+SUBCOMMAND_HELP = {
+    "count": """\
+usage: orbit-entropy count [-h] [--format {json,csv}] [--family {A,B,C,D}]
+                           [--n N] [--q Q] [--s S] [--dist DIST]
+                           [--object {flag,quotient}]
+                           {reflection,symplectic,isotropic}
+
+positional arguments:
+  {reflection,symplectic,isotropic}
+
+options:
+  -h, --help            show this help message and exit
+  --format {json,csv}   output format (default json, one object per line)
+  --family {A,B,C,D}
+  --n N
+  --q Q
+  --s S
+  --dist DIST           exact fractions, e.g. 1/2,1/4,1/4
+  --object {flag,quotient}
+                        symplectic object: full-shape flag (default) or
+                        parabolic quotient
+""",
+    "converge": """\
+usage: orbit-entropy converge [-h] [--format {json,csv}] [--family {A,B,C,D}]
+                              [--q Q] --dist DIST --n N
+                              {reflection,symplectic}
+
+positional arguments:
+  {reflection,symplectic}
+
+options:
+  -h, --help            show this help message and exit
+  --format {json,csv}   output format (default json, one object per line)
+  --family {A,B,C,D}
+  --q Q
+  --dist DIST
+  --n N                 comma-separated schedule, e.g. 8,16,32
+""",
+    "chain-check": """\
+usage: orbit-entropy chain-check [-h] [--format {json,csv}] --target
+                                 {shannon,reflective,symplectic-entropy,reflective-cardinality,symplectic-cardinality,poincare}
+                                 --dist DIST --blocks BLOCKS
+                                 [--family {A,B,C,D}] [--n N] [--q Q]
+
+options:
+  -h, --help            show this help message and exit
+  --format {json,csv}   output format (default json, one object per line)
+  --target {shannon,reflective,symplectic-entropy,reflective-cardinality,symplectic-cardinality,poincare}
+  --dist DIST
+  --blocks BLOCKS       coarse block sizes, e.g. 2,1
+  --family {A,B,C,D}
+  --n N
+  --q Q
+""",
+}
+
+
+@pytest.mark.parametrize("command", sorted(SUBCOMMAND_HELP))
+def test_subcommand_help_is_pinned(command, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == SUBCOMMAND_HELP[command]
 
 
 def test_oracle_verify_csv_header(capsys):

@@ -288,6 +288,68 @@ def _ref_bracket_sizes(family, rank):
     return (rank,) + tuple(2 * i for i in range(1, rank))
 
 
+def _ref_adjacency(diagram):
+    m = diagram.rank
+    adj = {i: [] for i in range(1, m + 1)}
+    if diagram.family == "D":
+        edges = [(i, i + 1) for i in range(1, m - 1)]
+        if m >= 3:
+            edges.append((m - 2, m))
+    else:
+        edges = [(i, i + 1) for i in range(1, m)]
+    for a, b in edges:
+        adj[a].append(b)
+        adj[b].append(a)
+    return adj
+
+
+def _ref_components(diagram, removed):
+    # a stack walk over the adjacency lists, then the family labels
+    rm = set(removed)
+    adj = _ref_adjacency(diagram)
+    seen = set()
+    comps = []
+    for start in range(1, diagram.rank + 1):
+        if start in rm or start in seen:
+            continue
+        stack, comp = [start], []
+        seen.add(start)
+        while stack:
+            v = stack.pop()
+            comp.append(v)
+            for w in adj[v]:
+                if w not in rm and w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        comps.append(tuple(sorted(comp)))
+    comps.sort(key=lambda c: c[0])
+    m, family = diagram.rank, diagram.family
+    out = []
+    for comp in comps:
+        if family in ("B", "C"):
+            fam = family if m in comp else "A"
+        elif family == "D":
+            fam = "D" if (m in comp and m - 1 in comp) else "A"
+        else:
+            fam = "A"
+        out.append((comp, fam))
+    return out
+
+
+def test_surviving_components_match_the_graph_walk():
+    cases = 0
+    for family in ("A", "B", "C", "D"):
+        for rank in range(2 if family == "D" else 1, 9):
+            diagram = Diagram(family, rank)
+            for size in range(rank + 1):
+                for removed in itertools.combinations(range(1, rank + 1), size):
+                    assert surviving_components(diagram, removed) == _ref_components(
+                        diagram, removed
+                    ), (family, rank, removed)
+                    cases += 1
+    assert cases == 4 * 510 - 2
+
+
 def _ref_times_bracket(coeffs, j):
     out = []
     acc = 0

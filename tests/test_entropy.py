@@ -12,7 +12,6 @@ from hypothesis import given, settings, strategies as st
 from orbit_entropy.entropy import (
     CoarseMap,
     ProbVec,
-    compose,
     conditional,
     pushforward,
     reflective,
@@ -84,14 +83,6 @@ def test_conditional_values():
         conditional(SKEW, cmap, 3)
     with pytest.raises(ValueError):
         conditional(SKEW, cmap, 0)
-
-
-def test_compose_merges_blocks():
-    inner = CoarseMap((2, 1))
-    outer = CoarseMap((2,))
-    assert compose(outer, inner).blocks == (3,)
-    with pytest.raises(ValueError):
-        compose(CoarseMap((2, 1)), CoarseMap((2, 1)))  # 3 blocks needed
 
 
 def test_shannon_known_values():
@@ -214,12 +205,10 @@ def test_conditionals_reassemble_the_distribution(case):
 
 @given(dist_and_map())
 def test_pushforward_respects_composition(case):
+    # the one-block outer map after any inner map is the one-block map
     dist, inner = case
-    m = inner.m
-    outer = CoarseMap((m,)) if m else None
-    assert outer is not None
-    direct = pushforward(dist, compose(outer, inner))
-    staged = pushforward(pushforward(dist, inner), outer)
+    direct = pushforward(dist, CoarseMap((len(dist),)))
+    staged = pushforward(pushforward(dist, inner), CoarseMap((inner.m,)))
     assert direct.probs == staged.probs
 
 

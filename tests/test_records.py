@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 
 import orbit_entropy
-from orbit_entropy.dynkin import Diagram
+from orbit_entropy.dynkin import Diagram, remove_nodes
 from orbit_entropy.entropy import CoarseMap, ProbVec
 from orbit_entropy.exact import IntPolynomial, Record
 from orbit_entropy.oracle import OrbitStabilizerReport
@@ -166,3 +166,26 @@ def test_flag_type_rejects_non_integer_increments():
         FlagType(("a",), 2, 2)
     with pytest.raises(TypeError):
         FlagType(None, 2, 2)
+
+
+@pytest.mark.parametrize(
+    "build,message",
+    [
+        (lambda: CoarseMap((2.7, 1)), "block sizes must be integers"),
+        (lambda: CoarseMap((Fraction(5, 2), 1)), "block sizes must be integers"),
+        (lambda: FlagType([1.9], 3, 2), "flag increments must be integers"),
+        (lambda: remove_nodes(Diagram("A", 3), [1.5]), "removed nodes must be integers"),
+    ],
+    ids=("CoarseMap-float", "CoarseMap-Fraction", "FlagType-float", "remove_nodes-float"),
+)
+def test_non_integral_sizes_are_rejected(build, message):
+    # int() would truncate these to (2, 1), (1,) and a cut at node 1
+    with pytest.raises(ValueError) as exc:
+        build()
+    assert str(exc.value) == message
+
+
+def test_integral_sizes_of_other_types_coerce():
+    assert CoarseMap((True, 2.0, Fraction(3))).blocks == (1, 2, 3)
+    assert all(type(b) is int for b in CoarseMap((True, 2.0)).blocks)
+    assert remove_nodes(Diagram("A", 3), [2.0]) == remove_nodes(Diagram("A", 3), [2])

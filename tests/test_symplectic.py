@@ -71,6 +71,61 @@ def test_ig_count_matches_left_to_right_product(q):
             assert ig_count(s, n, q) == binom * tail
 
 
+def _compositions_below(n, parts):
+    # every tuple of at most `parts` positive parts with sum at most n
+    level = out = [()]
+    for _ in range(parts):
+        level = [c + (m,) for c in level for m in range(1, n - sum(c) + 1)]
+        out = out + level
+    return out
+
+
+def test_orders_match_the_hand_derived_powers():
+    # the one rule q^N prod(q^d - 1), N = sum(d - 1), over the degrees
+    # against the three powers of q and the dimension count it replaced
+    for q in (2, 3, 7):
+        for n in range(13):
+            assert sp_order(n, q) == q ** (n * n) * math.prod(
+                q ** (2 * i) - 1 for i in range(1, n + 1)
+            )
+            assert gl_order(n, q) == q ** (n * (n - 1) // 2) * math.prod(
+                q**i - 1 for i in range(1, n + 1)
+            )
+            for s in range(n + 1):
+                assert unipotent_radical_order(s, n, q) == q ** (
+                    s * (s + 1) // 2 + 2 * s * (n - s)
+                )
+    for n in range(1, 13):
+        for blocks in _compositions_below(n, 3):
+            r = n - sum(blocks)
+            levi = sum(m * m for m in blocks) + r * (2 * r + 1)
+            unipotent = (n * (2 * n + 1) - levi) // 2
+            power = unipotent + sum(m * (m - 1) // 2 for m in blocks) + r * r
+            degrees = [j for m in blocks for j in range(1, m + 1)]
+            degrees += [2 * i for i in range(1, r + 1)]
+            assert verify._flag_stabilizer_order(blocks, n) == (power, degrees)
+
+
+def _ref_flag_exponents(blocks, n):
+    # the q-multinomial exponents of (blocks, r) plus those of the tail
+    # prod (q^j + 1), r < j <= n, which q^j + 1 = (q^2j - 1) / (q^j - 1)
+    # spreads over the even d with j an odd multiple of d/2
+    r = n - sum(blocks)
+    exponents = exact.q_multinomial_exponents(n, (*blocks, r)) + [0] * n
+    for d in range(2, 2 * n + 1, 2):
+        h = d // 2
+        exponents[d] += n // h - r // h - (n // d - r // d)
+    return exponents
+
+
+def test_flag_exponents_match_the_multinomial_and_tail():
+    for n in range(1, 25):
+        for blocks in _compositions_below(n, 3):
+            assert symplectic._flag_exponents(blocks, n) == _ref_flag_exponents(
+                blocks, n
+            ), (blocks, n)
+
+
 def test_unipotent_radical_order_values():
     assert unipotent_radical_order(0, 5, 3) == 1
     assert unipotent_radical_order(1, 2, 2) == 2 ** 3
@@ -281,24 +336,35 @@ def _bump_phi_2(original):
 
 
 def _bump_e_2(original):
-    def exponents(n, parts):
-        out = original(n, parts)
+    def exponents(blocks, n):
+        out = original(blocks, n)
         out[2] += 1
         return out
 
     return exponents
 
 
+def _bump_top_c_degree(original):
+    def sizes(family, rank):
+        out = original(family, rank)
+        return out[:-1] + (out[-1] + 2,) if family == "C" and out else out
+
+    return sizes
+
+
 FAULTS = {
     "phi entry off by one": (exact, "_cyclotomic_values", _bump_phi_2),
     "tail range off by one": (
-        symplectic, "_plus_one_tail",
-        lambda original: lambda lo, hi, exps: original(lo + 1, hi, exps),
+        symplectic, "_c_multiples", lambda original: lambda k, d: original(k + 1, d)
     ),
     "product drops a factor": (
         exact, "product", lambda original: lambda values: original(list(values)[1:])
     ),
-    "one exponent wrong": (symplectic, "q_multinomial_exponents", _bump_e_2),
+    "one exponent wrong": (symplectic, "_flag_exponents", _bump_e_2),
+    # the closed form keeps its floor formula; only the proof reads the table
+    "a type-C degree wrong, as the proof reads it": (
+        verify, "_bracket_sizes", _bump_top_c_degree
+    ),
 }
 
 FLAG_COUNTS = {
@@ -324,8 +390,7 @@ def test_seeded_faults_raise(fault, count, q, monkeypatch):
 def test_symbolic_proof_rejects_vectors_right_only_at_one_q():
     # Phi_1(2) = 1 and Phi_2(2) = Phi_6(2) = 3, so these vectors give the
     # right value at q = 2, which the residue check alone would accept
-    exps = exact.q_multinomial_exponents(6, (3, 3)) + [0] * 6
-    symplectic._plus_one_tail(3, 6, exps)
+    exps = symplectic._flag_exponents((3,), 6)
     value = ig_count(3, 6, 2)
     verify.check_flag_count((3,), 6, 2, exps, value)
     extra_phi_1 = exps.copy()
@@ -351,10 +416,12 @@ def test_exact_equality_runs_when_fewer_than_two_primes_inform(monkeypatch):
     ig_count(2, 4, 5)
     assert calls == []
     q = verify.PRIMES[0] * verify.PRIMES[2] + 1
-    assert ig_count(2, 4, q) * gl_order(2, q) * unipotent_radical_order(
+    count = ig_count(2, 4, q)
+    # the public orders below share the evaluator, so record before them
+    assert calls == [q, q]
+    assert count * gl_order(2, q) * unipotent_radical_order(
         2, 4, q
     ) * sp_order(2, q) == sp_order(4, q)
-    assert calls == [q, q]
 
 
 def test_counts_build_no_group_order(monkeypatch):

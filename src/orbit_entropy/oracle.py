@@ -1,8 +1,12 @@
 """Brute-force validators at tiny scale.
 
-Words are enumerated symbol by symbol, reflection groups are closed
-under explicit multiplication acting on their root systems, and
-subspaces of F_q^{2n} are enumerated through canonical echelon bases.
+Words are enumerated symbol by symbol. Reflection groups are closed
+under explicit multiplication acting on their root systems, each root
+system being the closure of the simple roots under their reflections.
+Subspaces of F_q^{2n} are one-step flags, enumerated through canonical
+echelon bases. GL_m and Sp_2n are both filled in column by column by
+one depth-first builder; Sp_2n is cached, enumerated once per (n, q).
+
 Nothing here reuses the closed forms it exists to validate; the only
 closed-form imports are the expected sizes used as closure caps and the
 reference values packed into the orbit report.
@@ -14,11 +18,12 @@ attempt.
 
 from __future__ import annotations
 
+import functools
 import itertools
-from collections.abc import Iterable, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 
 from .dynkin import group_order
-from .exact import InexactDivisionError, IntPolynomial, Record
+from .exact import InexactDivisionError, IntPolynomial, Record, _integral
 from .symplectic import ig_count, sp_order
 from .verify import _flag_stabilizer_order, _order
 
@@ -51,7 +56,7 @@ def count_type_class(n: int, counts: Sequence[int]) -> int:
     exactly `counts`, found by enumerating all k^n words."""
     if not 0 <= n <= MAX_WORD_LENGTH:
         raise ValueError(f"word length must be between 0 and {MAX_WORD_LENGTH}")
-    target = tuple(int(c) for c in counts)
+    target = _integral(counts, "symbol counts")
     if any(c < 0 for c in target):
         raise ValueError("symbol counts must be nonnegative")
     if sum(target) != n:
@@ -71,9 +76,11 @@ def count_type_class(n: int, counts: Sequence[int]) -> int:
 # reflection groups on their root systems
 
 
-def _basis(dim: int, i: int, sign: int = 1) -> tuple[int, ...]:
+def _root(dim: int, i: int, j: int = 0, sign: int = 0) -> tuple[int, ...]:
+    # e_i + sign * e_j; the defaults give e_i
     v = [0] * dim
-    v[i] = sign
+    v[i] += 1
+    v[j] += sign
     return tuple(v)
 
 
@@ -83,45 +90,24 @@ def _simple_roots(family: str, rank: int) -> list[tuple[int, ...]]:
     if not 1 <= rank <= MAX_RANK:
         raise ValueError(f"rank must be between 1 and {MAX_RANK}")
     if family == "A":
-        dim = rank + 1
-        return [
-            tuple(a - b for a, b in zip(_basis(dim, i), _basis(dim, i + 1)))
-            for i in range(rank)
-        ]
-    dim = rank
-    chain = [
-        tuple(a - b for a, b in zip(_basis(dim, i), _basis(dim, i + 1)))
-        for i in range(rank - 1)
-    ]
+        return [_root(rank + 1, i, i + 1, -1) for i in range(rank)]
+    chain = [_root(rank, i, i + 1, -1) for i in range(rank - 1)]
     if family == "B":
-        return chain + [_basis(dim, rank - 1)]
+        return chain + [_root(rank, rank - 1)]
     if rank < 2:
         raise ValueError("family D requires rank >= 2")
-    last = tuple(
-        a + b for a, b in zip(_basis(dim, rank - 2), _basis(dim, rank - 1))
-    )
-    return chain + [last]
+    return chain + [_root(rank, rank - 2, rank - 1, 1)]
 
 
-def _positive_roots(family: str, rank: int) -> list[tuple[int, ...]]:
-    out: list[tuple[int, ...]] = []
-    if family == "A":
-        dim = rank + 1
-        for i in range(dim):
-            for j in range(i + 1, dim):
-                out.append(
-                    tuple(a - b for a, b in zip(_basis(dim, i), _basis(dim, j)))
-                )
-        return out
-    dim = rank
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            ei, ej = _basis(dim, i), _basis(dim, j)
-            out.append(tuple(a - b for a, b in zip(ei, ej)))
-            out.append(tuple(a + b for a, b in zip(ei, ej)))
-    if family == "B":
-        out.extend(_basis(dim, i) for i in range(dim))
-    return out
+def _positive_roots(simples: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    # every root is the image of a simple root under the simple
+    # reflections; the positive ones lead with a positive entry
+    roots = set(simples)
+    frontier = roots
+    while frontier:
+        frontier = {_reflect(r, a) for r in frontier for a in simples} - roots
+        roots |= frontier
+    return sorted(r for r in roots if next(x for x in r if x) > 0)
 
 
 def _reflect(v: tuple[int, ...], alpha: tuple[int, ...]) -> tuple[int, ...]:
@@ -185,17 +171,13 @@ def _census(elements: Iterable[tuple[int, ...]], npos: int) -> IntPolynomial:
 def reflection_length_census(family: str, rank: int) -> IntPolynomial:
     """Sum of t^(length) over the whole group, with length counted as the
     number of positive roots sent negative."""
-    simples = _simple_roots(family, rank)
-    pos = _positive_roots(family, rank)
-    index = {r: i for i, r in enumerate(pos)}
-    gens = [_root_permutation(a, pos, index) for a in simples]
+    census = parabolic_length_census(family, rank, ())
     expected = group_order(family, rank)
-    elements = _close_group(gens, len(pos), expected)
-    if len(elements) != expected:
+    if census(1) != expected:
         raise InexactDivisionError(
-            f"closure reached {len(elements)} elements, expected {expected}"
+            f"closure reached {census(1)} elements, expected {expected}"
         )
-    return _census(elements, len(pos))
+    return census
 
 
 def parabolic_length_census(
@@ -204,11 +186,13 @@ def parabolic_length_census(
     """Same census over the subgroup generated by the simple reflections
     that survive the removal; lengths stay ambient."""
     simples = _simple_roots(family, rank)
-    removed = {int(r) for r in removal}
+    removed = sorted(_integral(removal, "removed nodes"))
     for r in removed:
         if not 1 <= r <= rank:
             raise ValueError(f"node {r} outside 1..{rank}")
-    pos = _positive_roots(family, rank)
+    if len(set(removed)) != len(removed):
+        raise ValueError("removal set has repeated nodes")
+    pos = _positive_roots(simples)
     index = {r: i for i, r in enumerate(pos)}
     gens = [
         _root_permutation(a, pos, index)
@@ -295,13 +279,10 @@ def _isotropic_spans(s: int, n: int, q: int) -> list[frozenset]:
 
 def enumerate_isotropic_subspaces(s: int, n: int, q: int) -> int:
     """Count of s-dimensional totally isotropic subspaces of F_q^{2n},
-    by filtering canonical echelon bases."""
-    _check_field(q)
+    by filtering canonical echelon bases: the flags with one step."""
     if not 0 <= s <= n:
         raise ValueError("need 0 <= s <= n")
-    if n > MAX_HALF_DIM:
-        raise ValueError(f"half-dimension capped at {MAX_HALF_DIM}")
-    return len(_isotropic_spans(s, n, q))
+    return enumerate_isotropic_flags((s,) if s else (), n, q)
 
 
 def enumerate_isotropic_flags(increments: Sequence[int], n: int, q: int) -> int:
@@ -310,7 +291,7 @@ def enumerate_isotropic_flags(increments: Sequence[int], n: int, q: int) -> int:
     _check_field(q)
     if n > MAX_HALF_DIM:
         raise ValueError(f"half-dimension capped at {MAX_HALF_DIM}")
-    incs = tuple(int(m) for m in increments)
+    incs = _integral(increments, "increments")
     if any(m < 1 for m in incs):
         raise ValueError("increments must be positive")
     if sum(incs) > n:
@@ -327,70 +308,60 @@ def enumerate_isotropic_flags(increments: Sequence[int], n: int, q: int) -> int:
     return sum(ways.values())
 
 
-def _rank_mod(rows: Sequence[Sequence[int]], q: int) -> int:
-    work = [list(r) for r in rows]
-    cols = len(work[0]) if work else 0
-    rank = 0
-    for col in range(cols):
-        pivot = next((r for r in range(rank, len(work)) if work[r][col] % q), None)
-        if pivot is None:
-            continue
-        work[rank], work[pivot] = work[pivot], work[rank]
-        inv = pow(work[rank][col], -1, q)
-        work[rank] = [x * inv % q for x in work[rank]]
-        for r in range(len(work)):
-            if r != rank and work[r][col] % q:
-                c = work[r][col]
-                work[r] = [(a - c * b) % q for a, b in zip(work[r], work[rank])]
-        rank += 1
-    return rank
+def _column_lists(dim: int, q: int, candidates: Callable) -> Iterator[tuple]:
+    # depth-first: every tuple of dim columns over F_q whose k-th column is
+    # drawn from candidates(vectors, first k columns); only the current
+    # branch is held, never a whole level of partial lists
+    vectors = list(itertools.product(range(q), repeat=dim))
+
+    def extend(cols: tuple) -> Iterator[tuple]:
+        if len(cols) == dim:
+            yield cols
+            return
+        for v in candidates(vectors, cols):
+            yield from extend(cols + (v,))
+
+    return extend(())
 
 
 def enumerate_general_linear(m: int, q: int) -> int:
-    """Count of invertible m-by-m matrices over F_q, by enumerating all
-    q^(m*m) candidates and row-reducing each."""
+    """Count of invertible m-by-m matrices over F_q, by listing their
+    columns one at a time, each outside the span of the columns before it."""
     _check_field(q)
-    if m < 0 or q ** (m * m) > 70000:
+    if m < 0:
+        raise ValueError("m must be nonnegative")
+    if q ** (m * m) > 70000:
         raise ValueError("general linear enumeration capped at q^(m*m) <= 70000")
-    if m == 0:
-        return 1
-    total = 0
-    for flat in itertools.product(range(q), repeat=m * m):
-        rows = [flat[i * m : (i + 1) * m] for i in range(m)]
-        if _rank_mod(rows, q) == m:
-            total += 1
-    return total
+
+    def independent(vectors: list, cols: tuple) -> Iterator[tuple]:
+        span = _span(cols, m, q)
+        return (v for v in vectors if v not in span)
+
+    return sum(1 for _ in _column_lists(m, q, independent))
 
 
-def _symplectic_elements(n: int, q: int) -> list[tuple[tuple[int, ...], ...]]:
-    # depth-first fill of columns under the form constraints; returns
-    # row-major matrices
-    dim = 2 * n
+@functools.cache
+def _symplectic_elements(n: int, q: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    # the whole group as row-major matrices, its columns filled under the
+    # form constraints; enumerated once per (n, q)
+    _check_field(q)
+    if (n, q) not in SP_FEASIBLE:
+        raise ValueError(f"enumeration feasible only for (n, q) in {sorted(SP_FEASIBLE)}")
     J = _symplectic_gram(n, q)
-    vectors = list(itertools.product(range(q), repeat=dim))
-    found: list[tuple[tuple[int, ...], ...]] = []
 
-    def extend(cols: list) -> None:
+    def compatible(vectors: list, cols: tuple) -> Iterator[tuple]:
         k = len(cols)
-        if k == dim:
-            found.append(tuple(zip(*cols)))
-            return
-        for v in vectors:
-            if all(_form(J, cols[i], v, q) == J[i][k] for i in range(k)):
-                cols.append(v)
-                extend(cols)
-                cols.pop()
+        return (
+            v for v in vectors
+            if all(_form(J, c, v, q) == J[i][k] for i, c in enumerate(cols))
+        )
 
-    extend([])
-    return found
+    return tuple(tuple(zip(*cols)) for cols in _column_lists(2 * n, q, compatible))
 
 
 def enumerate_symplectic_group(n: int, q: int) -> int:
     """Count of 2n-by-2n matrices over F_q preserving the standard
     alternating form."""
-    _check_field(q)
-    if (n, q) not in SP_FEASIBLE:
-        raise ValueError(f"enumeration feasible only for (n, q) in {sorted(SP_FEASIBLE)}")
     return len(_symplectic_elements(n, q))
 
 
@@ -436,14 +407,11 @@ def stabilizer_and_orbit_check(s: int, n: int, q: int = 2) -> OrbitStabilizerRep
     """Acts the enumerated group on the coordinate isotropic subspace
     spanned by the first s basis vectors and compares the orbit size with
     ig_count and the stabilizer size with the |P| its proof uses."""
-    _check_field(q)
-    if (n, q) not in SP_FEASIBLE:
-        raise ValueError(f"enumeration feasible only for (n, q) in {sorted(SP_FEASIBLE)}")
+    group = _symplectic_elements(n, q)
     if not 0 <= s <= n:
         raise ValueError("need 0 <= s <= n")
     dim = 2 * n
-    group = _symplectic_elements(n, q)
-    base = _span(tuple(_basis(dim, i) for i in range(s)), dim, q)
+    base = _span(tuple(_root(dim, i) for i in range(s)), dim, q)
     orbit = set()
     stabilizer = 0
     for g in group:

@@ -1,6 +1,10 @@
 """Brute-force cross-checks at small scale. Everything here recomputes a
 closed form by direct enumeration, so sizes are deliberately tiny."""
 
+import ast
+import itertools
+from pathlib import Path
+
 import pytest
 
 from orbit_entropy import oracle
@@ -131,3 +135,200 @@ def test_stabilizer_and_orbit_reports():
     small = oracle.stabilizer_and_orbit_check(1, 1, 2)
     assert (small.orbit_size, small.stabilizer_size) == (3, 2)
     assert small.holds
+
+
+# inputs the oracle cannot serve are rejected, not truncated or merged
+
+
+def test_oracle_rejects_fractional_inputs():
+    with pytest.raises(ValueError, match="integers"):
+        oracle.parabolic_length_census("A", 3, [1.5])
+    with pytest.raises(ValueError, match="integers"):
+        oracle.count_type_class(3, (2.5, 1))
+    with pytest.raises(ValueError, match="integers"):
+        oracle.enumerate_isotropic_flags((1.9,), 2, 2)
+    with pytest.raises(ValueError, match="integers"):
+        oracle.enumerate_isotropic_subspaces(1.5, 2, 2)
+    # integral floats still count as their integers
+    assert oracle.enumerate_isotropic_flags((1.0,), 2, 2) == 15
+
+
+def test_parabolic_census_rejects_repeated_nodes():
+    with pytest.raises(ValueError, match="removal set has repeated nodes"):
+        oracle.parabolic_length_census("A", 3, [1, 1])
+    with pytest.raises(ValueError, match="removal set has repeated nodes"):
+        remove_nodes(Diagram("A", 3), [1, 1])
+
+
+def test_general_linear_names_the_cause():
+    with pytest.raises(ValueError, match="m must be nonnegative"):
+        oracle.enumerate_general_linear(-1, 2)
+    with pytest.raises(ValueError, match=r"capped at q\^\(m\*m\) <= 70000"):
+        oracle.enumerate_general_linear(4, 3)
+
+
+# reference copies of the earlier routes: hand-written positive roots,
+# row reduction of every matrix, and a column search for Sp written apart
+# from the shared column builder
+
+
+def _ref_basis(dim, i, sign=1):
+    v = [0] * dim
+    v[i] = sign
+    return tuple(v)
+
+
+def _ref_positive_roots(family, rank):
+    out = []
+    if family == "A":
+        dim = rank + 1
+        for i in range(dim):
+            for j in range(i + 1, dim):
+                out.append(tuple(a - b for a, b in zip(_ref_basis(dim, i), _ref_basis(dim, j))))
+        return out
+    dim = rank
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            ei, ej = _ref_basis(dim, i), _ref_basis(dim, j)
+            out.append(tuple(a - b for a, b in zip(ei, ej)))
+            out.append(tuple(a + b for a, b in zip(ei, ej)))
+    if family == "B":
+        out.extend(_ref_basis(dim, i) for i in range(dim))
+    return out
+
+
+def _ref_rank_mod(rows, q):
+    work = [list(r) for r in rows]
+    cols = len(work[0]) if work else 0
+    rank = 0
+    for col in range(cols):
+        pivot = next((r for r in range(rank, len(work)) if work[r][col] % q), None)
+        if pivot is None:
+            continue
+        work[rank], work[pivot] = work[pivot], work[rank]
+        inv = pow(work[rank][col], -1, q)
+        work[rank] = [x * inv % q for x in work[rank]]
+        for r in range(len(work)):
+            if r != rank and work[r][col] % q:
+                c = work[r][col]
+                work[r] = [(a - c * b) % q for a, b in zip(work[r], work[rank])]
+        rank += 1
+    return rank
+
+
+def _ref_general_linear(m, q):
+    if m == 0:
+        return 1
+    return sum(
+        1
+        for flat in itertools.product(range(q), repeat=m * m)
+        if _ref_rank_mod([flat[i * m : (i + 1) * m] for i in range(m)], q) == m
+    )
+
+
+def _ref_gram(n, q):
+    dim = 2 * n
+    rows = [[0] * dim for _ in range(dim)]
+    for i in range(n):
+        rows[i][n + i] = 1
+        rows[n + i][i] = q - 1
+    return rows
+
+
+def _ref_form(J, u, v, q):
+    return sum(u[i] * J[i][j] * v[j] for i in range(len(u)) for j in range(len(v))) % q
+
+
+def _ref_symplectic_elements(n, q):
+    dim = 2 * n
+    J = _ref_gram(n, q)
+    vectors = list(itertools.product(range(q), repeat=dim))
+    found = []
+
+    def extend(cols):
+        k = len(cols)
+        if k == dim:
+            found.append(tuple(zip(*cols)))
+            return
+        for v in vectors:
+            if all(_ref_form(J, cols[i], v, q) == J[i][k] for i in range(k)):
+                cols.append(v)
+                extend(cols)
+                cols.pop()
+
+    extend([])
+    return found
+
+
+@pytest.mark.parametrize(
+    "family,rank",
+    [(f, r) for f in ("A", "B") for r in range(1, 5)] + [("D", r) for r in range(2, 5)],
+)
+def test_positive_roots_by_closure_match_hand_written_lists(family, rank):
+    closed = oracle._positive_roots(oracle._simple_roots(family, rank))
+    assert len(set(closed)) == len(closed)
+    assert set(closed) == set(_ref_positive_roots(family, rank))
+
+
+@pytest.mark.parametrize("m,q", [(m, q) for q in (2, 3) for m in range(4)])
+def test_general_linear_columns_match_row_reduction(m, q):
+    assert oracle.enumerate_general_linear(m, q) == _ref_general_linear(m, q)
+
+
+@pytest.mark.parametrize("n,q", sorted(oracle.SP_FEASIBLE))
+def test_symplectic_elements_match_reference_search(n, q):
+    group = oracle._symplectic_elements(n, q)
+    assert isinstance(group, tuple)
+    assert len(set(group)) == len(group)
+    assert set(group) == set(_ref_symplectic_elements(n, q))
+    J = _ref_gram(n, q)
+    dim = 2 * n
+    for g in group:
+        gtjg = [
+            [
+                sum(g[r][a] * J[r][s] * g[s][b] for r in range(dim) for s in range(dim)) % q
+                for b in range(dim)
+            ]
+            for a in range(dim)
+        ]
+        assert gtjg == J
+    assert oracle._symplectic_elements(n, q) is group
+
+
+def test_symplectic_elements_reject_infeasible_pairs():
+    with pytest.raises(ValueError, match="q in \\{2, 3\\} only"):
+        oracle.enumerate_symplectic_group(1, 5)
+    with pytest.raises(ValueError, match="feasible only"):
+        oracle.stabilizer_and_orbit_check(1, 2, 3)
+    with pytest.raises(ValueError, match="need 0 <= s <= n"):
+        oracle.stabilizer_and_orbit_check(2, 1, 2)
+
+
+# the oracle stays independent of the closed forms it checks: its package
+# imports are pinned, so a new closed-form import fails here
+
+
+ORACLE_PACKAGE_IMPORTS = {
+    "group_order",
+    "ig_count",
+    "sp_order",
+    "_flag_stabilizer_order",
+    "_order",
+    "InexactDivisionError",
+    "IntPolynomial",
+    "Record",
+    "_integral",
+}
+
+
+def test_oracle_package_imports_are_pinned():
+    tree = ast.parse(Path(oracle.__file__).read_text())
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+            node.level or "orbit_entropy" in (node.module or "")
+        ):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            assert not any("orbit_entropy" in alias.name for alias in node.names)
+    assert names == ORACLE_PACKAGE_IMPORTS

@@ -6,7 +6,7 @@ by default, CSV with a header row via --format csv.  Counts are emitted
 as decimal strings because they routinely exceed 64-bit range.  Data
 goes to stdout, diagnostics to stderr.  Exit codes: 0 success, 1
 identity or verification failure, 2 argument or parse error, 3 domain
-error.
+error, 141 stdout closed by its reader.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import contextlib
 import decimal
 import itertools
 import json
+import os
 import sys
 from collections.abc import Iterator, Sequence
 from fractions import Fraction
@@ -83,13 +84,16 @@ def _parse_dist(text: str) -> ProbVec:
         raise CliParseError(str(exc))
 
 
+def _parse_ints(text: str, what: str) -> list[int]:
+    try:
+        return [int(tok) for tok in text.split(",")]
+    except ValueError:
+        raise CliParseError(f"cannot parse {what} {text!r}")
+
+
 def _parse_blocks(text: str, k: int) -> CoarseMap:
     try:
-        blocks = [int(tok) for tok in text.split(",")]
-    except ValueError:
-        raise CliParseError(f"cannot parse block sizes {text!r}")
-    try:
-        cmap = CoarseMap(blocks)
+        cmap = CoarseMap(_parse_ints(text, "block sizes"))
     except ValueError as exc:
         raise CliParseError(str(exc))
     if cmap.domain_size != k:
@@ -101,10 +105,7 @@ def _parse_blocks(text: str, k: int) -> CoarseMap:
 
 
 def _parse_schedule(text: str) -> list[int]:
-    try:
-        ns = [int(tok) for tok in text.split(",")]
-    except ValueError:
-        raise CliParseError(f"cannot parse schedule {text!r}")
+    ns = _parse_ints(text, "schedule")
     if not ns or any(n < 1 for n in ns):
         raise CliParseError("schedule entries must be positive integers")
     return sorted(set(ns))
@@ -221,45 +222,34 @@ def _emit(records: list[dict], fmt: str) -> None:
         )
 
 
+# the flags each count kind requires, in the order its record echoes them
+_COUNT_FIELDS = {
+    "reflection": ("family", "n", "dist"),
+    "symplectic": ("n", "q", "dist"),
+    "isotropic": ("s", "n", "q"),
+}
+
+
 def _cmd_count(args: argparse.Namespace) -> tuple[list[dict], int]:
-    if args.kind == "reflection":
-        _require(args, ("family", "n", "dist"), "count reflection")
-        dist = _parse_dist(args.dist)
-        value = orbit_count(args.family, args.n, dist)
-        rec = {
-            "command": "count",
-            "kind": "reflection",
-            "family": args.family,
-            "n": args.n,
-            "dist": _dist_str(dist),
-        }
-    elif args.kind == "symplectic":
-        _require(args, ("n", "q", "dist"), "count symplectic")
-        dist = _parse_dist(args.dist)
-        if args.object == "quotient":
-            value = sp_quotient_closed(args.n, dist, args.q)
-        else:
-            # full-shape flag: one subspace per part, ending at a Lagrangian
-            counts = dist.scaled_counts(args.n)
-            value = isotropic_flag_count(FlagType(counts, args.n, args.q))
-        rec = {
-            "command": "count",
-            "kind": "symplectic",
-            "n": args.n,
-            "q": args.q,
-            "dist": _dist_str(dist),
-            "object": args.object,
-        }
-    else:
-        _require(args, ("s", "n", "q"), "count isotropic")
+    fields = _COUNT_FIELDS[args.kind]
+    _require(args, fields, f"count {args.kind}")
+    rec = {"command": "count", "kind": args.kind}
+    rec.update((name, getattr(args, name)) for name in fields)
+    if args.kind == "isotropic":
         value = ig_count(args.s, args.n, args.q)
-        rec = {
-            "command": "count",
-            "kind": "isotropic",
-            "s": args.s,
-            "n": args.n,
-            "q": args.q,
-        }
+    else:
+        dist = _parse_dist(args.dist)
+        rec["dist"] = _dist_str(dist)
+        if args.kind == "reflection":
+            value = orbit_count(args.family, args.n, dist)
+        else:
+            rec["object"] = args.object
+            if args.object == "quotient":
+                value = sp_quotient_closed(args.n, dist, args.q)
+            else:
+                # full-shape flag: one subspace per part, ending at a Lagrangian
+                counts = dist.scaled_counts(args.n)
+                value = isotropic_flag_count(FlagType(counts, args.n, args.q))
     rec["value"] = _int_str(value)
     return [rec], 0
 
@@ -284,14 +274,12 @@ def _cmd_converge(args: argparse.Namespace) -> tuple[list[dict], int]:
     key = "family" if reflection else "q"
     _require(args, (key,), f"converge {args.kind}")
     for n in schedule:
-        try:
-            counts = dist.scaled_counts(n)
-        except ValueError:
+        if n % dist.denominator:
             raise ValueError(
                 f"n={n} is not admissible for this distribution: "
                 "every n*p must be an integer"
             )
-        if reflection and any(c <= 3 for c in counts):
+        if reflection and n * min(dist) <= 3:
             raise ValueError(
                 f"n={n} is not admissible for this distribution: "
                 "every n*p must exceed 3"
@@ -347,16 +335,15 @@ def _cmd_chain_check(args: argparse.Namespace) -> tuple[list[dict], int]:
         rec.update(lhs=str(lhs), rhs=str(lhs - res), residual=str(res))
     else:
         poincare = args.target == "poincare"
-        if args.target == "symplectic-cardinality":
-            _require(args, ("n", "q"), "this target")
+        symplectic = args.target == "symplectic-cardinality"
+        fields = ("n", "q") if symplectic else ("family", "n")
+        _require(args, fields, "the poincare target" if poincare else "this target")
+        rec.update((name, getattr(args, name)) for name in fields)
+        if symplectic:
             report = symplectic_chain_identity_check(args.n, dist, cmap, args.q)
-            rec.update(n=args.n, q=args.q)
         else:
-            context = "the poincare target" if poincare else "this target"
-            _require(args, ("family", "n"), context)
             check = coarsening_poincare_check if poincare else coarsening_cardinality_check
             report = check(args.family, args.n, dist, cmap)
-            rec.update(family=args.family, n=args.n)
         fmt = _poly_str if poincare else _int_str
         ok = report.holds
         rec.update(lhs=fmt(report.lhs), rhs=fmt(report.rhs), residual=fmt(report.residual))
@@ -593,7 +580,14 @@ def main(argv: Sequence[str] | None = None) -> int:
         except InexactDivisionError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
-        _emit(records, args.format)
+        try:
+            _emit(records, args.format)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # the reader has gone (as with `| head`); what is still buffered
+            # goes to devnull, so the flush at shutdown cannot fail as well
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            return 141
     return code
 
 

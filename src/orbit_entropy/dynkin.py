@@ -47,17 +47,20 @@ class Diagram(Record):
     rank: int
 
     def __init__(self, family: str, rank: int) -> None:
-        _check_rank(family, rank)
+        rank = _check_rank(family, rank)
         if family == "D" and rank < 2:
             raise ValueError("family D requires rank >= 2")
         self._set_fields(family, rank)
 
 
-def _check_rank(family: str, rank: int) -> None:
+def _check_rank(family: str, rank: int) -> int:
+    # the rank as an int, by the rule of exact._integral
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
+    (rank,) = _integral((rank,), "ranks")
     if rank < 1:
         raise ValueError("rank must be at least 1")
+    return rank
 
 
 def surviving_components(
@@ -102,8 +105,7 @@ def group_order(family: str, rank: int) -> int:
     Rank 1 is accepted for every family so that degenerate tail factors
     keep the uniform closed forms; the D value at rank 1 is 1.
     """
-    _check_rank(family, rank)
-    return math.prod(_bracket_sizes(family, rank))
+    return math.prod(_bracket_sizes(family, _check_rank(family, rank)))
 
 
 def _bracket_sizes(family: str, rank: int) -> tuple[int, ...]:
@@ -206,8 +208,7 @@ def _bracket_quotient(numer: Sequence[int], denom: Sequence[int]) -> IntPolynomi
 def poincare_closed(family: str, rank: int) -> IntPolynomial:
     """Length generating function of the full group, as a product of
     gauss brackets; evaluates to group_order at t = 1."""
-    _check_rank(family, rank)
-    return _bracket_quotient(_bracket_sizes(family, rank), ())
+    return _bracket_quotient(_bracket_sizes(family, _check_rank(family, rank)), ())
 
 
 def poincare_parabolic(factors: Sequence[tuple[str, int]]) -> IntPolynomial:
@@ -223,11 +224,9 @@ def poincare_quotient(
     """poincare_closed(family, rank) divided by the parabolic product, as
     one checked bracket quotient.  Factors get the same rank checks as in
     reflection._index, so both gradings accept the same lists."""
-    _check_rank(family, rank)
-    for fam, r in factors:
-        _check_rank(fam, r)
-    denom = [j for fam, r in factors for j in _bracket_sizes(fam, r)]
-    return _bracket_quotient(_bracket_sizes(family, rank), denom)
+    numer = _bracket_sizes(family, _check_rank(family, rank))
+    denom = [j for fam, r in factors for j in _bracket_sizes(fam, _check_rank(fam, r))]
+    return _bracket_quotient(numer, denom)
 
 
 def flag_factors(family: str, counts: Sequence[int]) -> ParabolicType:

@@ -72,6 +72,7 @@ class ProbVec(Record):
 
     def scaled_counts(self, n: int) -> tuple[int, ...]:
         """The integer vector n*P; every entry must be integral."""
+        (n,) = _integral((n,), "lengths")
         if n < 1:
             raise ValueError("n must be positive")
         counts = []

@@ -87,16 +87,23 @@ def _integral(values: Iterable[object], what: str) -> tuple[int, ...]:
     return ints
 
 
+def _check_parts(n: int, parts: Sequence[int]) -> tuple[int, tuple[int, ...]]:
+    # n and the parts as ints: integral, nonnegative parts that sum to n
+    parts = _integral(parts, "parts")
+    if any(p < 0 for p in parts):
+        raise ValueError("parts must be nonnegative")
+    if sum(parts) != n:
+        raise ValueError(f"parts {list(parts)} do not sum to n={n}")
+    return sum(parts), parts
+
+
 def multinomial(n: int, parts: Sequence[int]) -> int:
     """Number of words of length n with the given symbol counts.
 
     ``parts`` must be nonnegative and sum to n; the value is computed as a
     product of binomials, so no division is involved.
     """
-    if any(p < 0 for p in parts):
-        raise ValueError("parts must be nonnegative")
-    if sum(parts) != n:
-        raise ValueError(f"parts {list(parts)} do not sum to n={n}")
+    n, parts = _check_parts(n, parts)
     out = 1
     remaining = n
     for p in parts:
@@ -121,6 +128,7 @@ def product(values: Iterable[int]) -> int:
 
 def q_factorial(k: int, q: int) -> int:
     """Product (q^k - 1)(q^{k-1} - 1) ... (q - 1); empty product for k = 0."""
+    k, q = _integral((k, q), "k and q")
     if k < 0:
         raise ValueError("q_factorial requires k >= 0")
     if q < 2:
@@ -168,10 +176,8 @@ def q_multinomial(n: int, parts: Sequence[int], q: int) -> int:
     quotient is not a polynomial in q and raises InexactDivisionError; for
     parts summing to n none is.
     """
-    if any(p < 0 for p in parts):
-        raise ValueError("parts must be nonnegative")
-    if sum(parts) != n:
-        raise ValueError(f"parts {list(parts)} do not sum to n={n}")
+    n, parts = _check_parts(n, parts)
+    (q,) = _integral((q,), "field sizes")
     if q < 2:
         raise ValueError("q must be at least 2")
     return cyclotomic_product(q_multinomial_exponents(n, parts), q)

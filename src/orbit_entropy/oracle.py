@@ -54,6 +54,7 @@ SP_FEASIBLE = {(1, 2), (1, 3), (2, 2)}
 def count_type_class(n: int, counts: Sequence[int]) -> int:
     """Number of length-n words over {1..k} whose symbol frequencies are
     exactly `counts`, found by enumerating all k^n words."""
+    (n,) = _integral((n,), "word lengths")
     if not 0 <= n <= MAX_WORD_LENGTH:
         raise ValueError(f"word length must be between 0 and {MAX_WORD_LENGTH}")
     target = _integral(counts, "symbol counts")
@@ -185,6 +186,7 @@ def parabolic_length_census(
 ) -> IntPolynomial:
     """Same census over the subgroup generated by the simple reflections
     that survive the removal; lengths stay ambient."""
+    (rank,) = _integral((rank,), "ranks")
     simples = _simple_roots(family, rank)
     removed = sorted(_integral(removal, "removed nodes"))
     for r in removed:
@@ -288,6 +290,7 @@ def enumerate_isotropic_subspaces(s: int, n: int, q: int) -> int:
 def enumerate_isotropic_flags(increments: Sequence[int], n: int, q: int) -> int:
     """Count of nested isotropic chains with the given dimension
     increments, by counting containments between enumerated subspaces."""
+    n, q = _integral((n, q), "n and q")
     _check_field(q)
     if n > MAX_HALF_DIM:
         raise ValueError(f"half-dimension capped at {MAX_HALF_DIM}")
@@ -327,6 +330,7 @@ def _column_lists(dim: int, q: int, candidates: Callable) -> Iterator[tuple]:
 def enumerate_general_linear(m: int, q: int) -> int:
     """Count of invertible m-by-m matrices over F_q, by listing their
     columns one at a time, each outside the span of the columns before it."""
+    m, q = _integral((m, q), "m and q")
     _check_field(q)
     if m < 0:
         raise ValueError("m must be nonnegative")
@@ -344,6 +348,7 @@ def enumerate_general_linear(m: int, q: int) -> int:
 def _symplectic_elements(n: int, q: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
     # the whole group as row-major matrices, its columns filled under the
     # form constraints; enumerated once per (n, q)
+    n, q = _integral((n, q), "n and q")
     _check_field(q)
     if (n, q) not in SP_FEASIBLE:
         raise ValueError(f"enumeration feasible only for (n, q) in {sorted(SP_FEASIBLE)}")
@@ -407,6 +412,7 @@ def stabilizer_and_orbit_check(s: int, n: int, q: int = 2) -> OrbitStabilizerRep
     """Acts the enumerated group on the coordinate isotropic subspace
     spanned by the first s basis vectors and compares the orbit size with
     ig_count and the stabilizer size with the |P| its proof uses."""
+    s, n, q = _integral((s, n, q), "s, n and q")
     group = _symplectic_elements(n, q)
     if not 0 <= s <= n:
         raise ValueError("need 0 <= s <= n")

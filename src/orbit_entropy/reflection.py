@@ -33,12 +33,12 @@ def _index(family: str, rank: int, factors: ParabolicType) -> int:
     # factor r! 2^r and a D_r factor r! 2^{r-1}.  So |W|/|W_P| is the
     # multinomial of m over the factor sizes and the rest (the rank-0
     # blocks), times rest! and the 2s left over.
-    _check_rank(family, rank)
+    rank = _check_rank(family, rank)
     m = rank + 1 if family == "A" else rank
     twos = 0 if family == "A" else rank - (family == "D")
     parts = []
     for fam, r in factors:
-        _check_rank(fam, r)
+        r = _check_rank(fam, r)
         if fam == "A":
             parts.append(r + 1)
         else:

@@ -36,9 +36,12 @@ __all__ = [
 ]
 
 
-def _check_q(q: int) -> None:
-    if q < 2:
+def _check_q(q: int, *sizes: int) -> tuple[int, ...]:
+    # q and the sizes after it as ints, by the rule of exact._integral
+    ints = _integral((q, *sizes), "sizes and q")
+    if ints[0] < 2:
         raise ValueError("field size q must be at least 2")
+    return ints
 
 
 def _c_multiples(k: int, d: int) -> int:
@@ -68,7 +71,7 @@ def _flag_count(blocks: Sequence[int], n: int, q: int) -> int:
 
 def gl_order(m: int, q: int) -> int:
     """Order of GL_m(F_q); 1 when m = 0."""
-    _check_q(q)
+    q, m = _check_q(q, m)
     if m < 0:
         raise ValueError("m must be nonnegative")
     return _order(_reductive_order(_gl_degrees(m)), q)
@@ -77,7 +80,7 @@ def gl_order(m: int, q: int) -> int:
 def sp_order(n: int, q: int) -> int:
     """Order of the symplectic group of a 2n-dimensional space over F_q;
     n = 0 gives 1 so tail factors of factorizations stay uniform."""
-    _check_q(q)
+    q, n = _check_q(q, n)
     if n < 0:
         raise ValueError("n must be nonnegative")
     return _order(_symplectic_order(n), q)
@@ -86,7 +89,7 @@ def sp_order(n: int, q: int) -> int:
 def unipotent_radical_order(s: int, n: int, q: int) -> int:
     """q^{s(s+1)/2 + 2s(n-s)}: the kernel of the stabilizer of an
     s-dimensional isotropic subspace acting on its associated graded."""
-    _check_q(q)
+    q, s, n = _check_q(q, s, n)
     if not 0 <= s <= n:
         raise ValueError("need 0 <= s <= n")
     power, levi = _flag_stabilizer_order((s,), n)
@@ -96,7 +99,7 @@ def unipotent_radical_order(s: int, n: int, q: int) -> int:
 def ig_count(s: int, n: int, q: int) -> int:
     """Number of s-dimensional totally isotropic subspaces of a
     2n-dimensional symplectic space over F_q."""
-    _check_q(q)
+    q, s, n = _check_q(q, s, n)
     if not 0 <= s <= n:
         raise ValueError("need 0 <= s <= n")
     return _flag_count((s,), n, q)
@@ -115,7 +118,7 @@ class FlagType(Record):
 
     def __init__(self, increments: Iterable[int], n: int, q: int) -> None:
         increments = _integral(increments, "flag increments")
-        _check_q(q)
+        q, n = _check_q(q, n)
         if n < 1:
             raise ValueError("half-dimension n must be positive")
         if any(m < 1 for m in increments):
@@ -136,7 +139,7 @@ def sp_quotient_closed(n: int, dist: ProbVec, q: int) -> int:
     the q-multinomial of all parts times the tail product of (q^j + 1)
     for j from n*p_k + 1 to n: the number of isotropic flags of shape
     (n*p_1, ..., n*p_{k-1})."""
-    _check_q(q)
+    q, n = _check_q(q, n)
     return _flag_count(dist.scaled_counts(n)[:-1], n, q)
 
 

@@ -368,6 +368,50 @@ def test_unknown_subcommand_exits_two():
     assert exc.value.code == 2
 
 
+def test_closed_stdout_exits_141_without_a_traceback():
+    # the reader is gone before the child writes, as with `| head -c 10`
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    argv = ["converge", "symplectic", "--q", "2", "--dist", "1/2,1/2", "--n", "8,16,32,64"]
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "orbit_entropy.cli", *argv],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (141, b"")
+
+
+def _readme_examples():
+    # each `$ orbit-entropy ...` line of the README's command-line block,
+    # with the lines shown under it; a line starting "..." elides the rest
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    examples = []
+    for chunk in block.strip().split("\n\n"):
+        command, *shown = chunk.splitlines()
+        assert command.startswith("$ orbit-entropy ")
+        examples.append((command.split()[2:], shown))
+    return examples
+
+
+README_EXAMPLES = _readme_examples()
+
+
+@pytest.mark.parametrize(
+    "argv,shown", README_EXAMPLES, ids=[" ".join(a[:2]) for a, _ in README_EXAMPLES]
+)
+def test_readme_example_output(argv, shown, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    kept = next((i for i, line in enumerate(shown) if line.startswith("...")), len(shown))
+    assert lines[:kept] == shown[:kept]
+    assert len(lines) == kept if kept == len(shown) else len(lines) > kept
+
+
 def test_identity_failure_exits_one(monkeypatch, capsys):
     monkeypatch.setattr(
         cli, "symplectic_chain_identity_check", lambda *a, **k: IdentityReport(1, 2)

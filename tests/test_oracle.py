@@ -153,6 +153,36 @@ def test_oracle_rejects_fractional_inputs():
     assert oracle.enumerate_isotropic_flags((1.0,), 2, 2) == 15
 
 
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: oracle.count_type_class(2.5, (1, 1)), "word lengths must be integers"),
+        (lambda: oracle.reflection_length_census("A", 2.5), "ranks must be integers"),
+        (lambda: oracle.parabolic_length_census("A", 2.5, [1]), "ranks must be integers"),
+        (lambda: oracle.enumerate_general_linear(1.5, 2), "m and q must be integers"),
+        (lambda: oracle.enumerate_isotropic_flags((1,), 1.5, 2), "n and q must be integers"),
+        (lambda: oracle.enumerate_isotropic_subspaces(1, 2, 2.5), "n and q must be integers"),
+        (lambda: oracle.enumerate_symplectic_group(1, 2.5), "n and q must be integers"),
+        (lambda: oracle.stabilizer_and_orbit_check(0.5, 1, 2), "s, n and q must be integers"),
+    ],
+)
+def test_oracle_rejects_fractional_scalars(call, message):
+    # each once raised TypeError from inside range or itertools
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message
+
+
+def test_oracle_takes_integral_scalars_as_ints():
+    assert oracle.count_type_class(2.0, (1, 1)) == 2
+    assert oracle.reflection_length_census("A", 2.0) == poincare_closed("A", 2)
+    assert oracle.enumerate_general_linear(2.0, 2.0) == 6
+    assert oracle.enumerate_isotropic_flags((1,), 2.0, 2) == 15
+    assert oracle.enumerate_symplectic_group(1.0, True + 1) == 6
+    report = oracle.stabilizer_and_orbit_check(1.0, 1.0, 2.0)
+    assert report.holds and report.orbit_size == 3
+
+
 def test_parabolic_census_rejects_repeated_nodes():
     with pytest.raises(ValueError, match="removal set has repeated nodes"):
         oracle.parabolic_length_census("A", 3, [1, 1])

@@ -189,3 +189,70 @@ def test_integral_sizes_of_other_types_coerce():
     assert CoarseMap((True, 2.0, Fraction(3))).blocks == (1, 2, 3)
     assert all(type(b) is int for b in CoarseMap((True, 2.0)).blocks)
     assert remove_nodes(Diagram("A", 3), [2.0]) == remove_nodes(Diagram("A", 3), [2])
+
+
+# scalar sizes and field sizes follow the rule of the sequences: the gate
+# each already passes takes True and 2.0 as ints and rejects 2.5
+HALF = ProbVec(("1/2", "1/2"))
+
+
+@pytest.mark.parametrize(
+    "build,message",
+    [
+        (lambda: orbit_entropy.sp_order(2, 2.5), "sizes and q must be integers"),
+        (lambda: orbit_entropy.sp_order(1.5, 2), "sizes and q must be integers"),
+        (lambda: orbit_entropy.gl_order(2, 2.5), "sizes and q must be integers"),
+        (lambda: orbit_entropy.unipotent_radical_order(1, 2, 2.5),
+         "sizes and q must be integers"),
+        (lambda: orbit_entropy.ig_count(1, 2, 2.5), "sizes and q must be integers"),
+        (lambda: FlagType((1,), 2, 2.5), "sizes and q must be integers"),
+        (lambda: FlagType((1,), 2.5, 2), "sizes and q must be integers"),
+        (lambda: orbit_entropy.sp_quotient_closed(4, HALF, 2.5),
+         "sizes and q must be integers"),
+        (lambda: orbit_entropy.q_multinomial(4, (2.5, 1.5), 2), "parts must be integers"),
+        (lambda: orbit_entropy.q_multinomial(4, (2, 2), 2.5), "field sizes must be integers"),
+        (lambda: orbit_entropy.multinomial(4, (2.5, 1.5)), "parts must be integers"),
+        (lambda: orbit_entropy.q_factorial(2, 2.5), "k and q must be integers"),
+        (lambda: Diagram("B", 2.5), "ranks must be integers"),
+        (lambda: orbit_entropy.group_order("A", 2.5), "ranks must be integers"),
+        (lambda: orbit_entropy.poincare_quotient("A", 3, [("A", 1.5)]),
+         "ranks must be integers"),
+        (lambda: orbit_entropy.orbit_count("B", 4.5, HALF), "lengths must be integers"),
+        (lambda: HALF.scaled_counts(Fraction(9, 2)), "lengths must be integers"),
+    ],
+)
+def test_non_integral_scalars_are_rejected(build, message):
+    with pytest.raises(ValueError) as exc:
+        build()
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize(
+    "call,want",
+    [
+        (lambda: orbit_entropy.sp_order(2.0, True + 1), orbit_entropy.sp_order(2, 2)),
+        (lambda: orbit_entropy.gl_order(2, 2.0), 6),
+        (lambda: orbit_entropy.unipotent_radical_order(1.0, 2, 2.0), 8),
+        (lambda: orbit_entropy.ig_count(1, 2, 2.0), 15),
+        (lambda: orbit_entropy.sp_quotient_closed(4.0, HALF, 2),
+         orbit_entropy.sp_quotient_closed(4, HALF, 2)),
+        (lambda: orbit_entropy.q_multinomial(4.0, (2.0, 2), 2.0), 35),
+        (lambda: orbit_entropy.multinomial(4.0, (2, 2.0)), 6),
+        (lambda: orbit_entropy.q_factorial(2.0, 2.0), 3),
+        (lambda: orbit_entropy.group_order("A", 2.0), 6),
+        (lambda: orbit_entropy.orbit_count("B", 4.0, HALF), 12),
+        (lambda: HALF.scaled_counts(4.0), (2, 2)),
+    ],
+)
+def test_integral_scalars_of_other_types_coerce(call, want):
+    got = call()
+    assert got == want
+    assert all(type(v) is int for v in (got if isinstance(got, tuple) else (got,)))
+
+
+def test_integral_scalar_fields_are_stored_as_ints():
+    ft = FlagType((1,), 2.0, 2.0)
+    assert (ft.n, ft.q) == (2, 2) and type(ft.n) is int and type(ft.q) is int
+    assert orbit_entropy.isotropic_flag_count(ft) == 15
+    d = Diagram("B", 2.0)
+    assert d == Diagram("B", 2) and type(d.rank) is int

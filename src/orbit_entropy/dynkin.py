@@ -105,7 +105,7 @@ def group_order(family: str, rank: int) -> int:
     Rank 1 is accepted for every family so that degenerate tail factors
     keep the uniform closed forms; the D value at rank 1 is 1.
     """
-    return math.prod(_bracket_sizes(family, _check_rank(family, rank)))
+    return math.prod(_sizes([(family, rank)]))
 
 
 def _bracket_sizes(family: str, rank: int) -> tuple[int, ...]:
@@ -118,6 +118,11 @@ def _bracket_sizes(family: str, rank: int) -> tuple[int, ...]:
     if family in ("B", "C"):
         return tuple(2 * i for i in range(1, rank + 1))
     return (rank,) + tuple(2 * i for i in range(1, rank))
+
+
+def _sizes(factors: Sequence[tuple[str, int]]) -> list[int]:
+    # the bracket sizes of a factor list, for group_order and every Poincare builder
+    return [j for fam, r in factors for j in _bracket_sizes(fam, _check_rank(fam, r))]
 
 
 def _bracket_quotient(numer: Sequence[int], denom: Sequence[int]) -> IntPolynomial:
@@ -208,14 +213,11 @@ def _bracket_quotient(numer: Sequence[int], denom: Sequence[int]) -> IntPolynomi
 def poincare_closed(family: str, rank: int) -> IntPolynomial:
     """Length generating function of the full group, as a product of
     gauss brackets; evaluates to group_order at t = 1."""
-    return _bracket_quotient(_bracket_sizes(family, _check_rank(family, rank)), ())
+    return poincare_quotient(family, rank, ())
 
 
 def poincare_parabolic(factors: Sequence[tuple[str, int]]) -> IntPolynomial:
-    out = IntPolynomial.one()
-    for fam, rank in factors:
-        out = out * poincare_closed(fam, rank)
-    return out
+    return _bracket_quotient(_sizes(factors), ())
 
 
 def poincare_quotient(
@@ -224,9 +226,7 @@ def poincare_quotient(
     """poincare_closed(family, rank) divided by the parabolic product, as
     one checked bracket quotient.  Factors get the same rank checks as in
     reflection._index, so both gradings accept the same lists."""
-    numer = _bracket_sizes(family, _check_rank(family, rank))
-    denom = [j for fam, r in factors for j in _bracket_sizes(fam, _check_rank(fam, r))]
-    return _bracket_quotient(numer, denom)
+    return _bracket_quotient(_sizes([(family, rank)]), _sizes(factors))
 
 
 def flag_factors(family: str, counts: Sequence[int]) -> ParabolicType:

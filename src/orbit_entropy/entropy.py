@@ -65,10 +65,7 @@ class ProbVec(Record):
     @property
     def denominator(self) -> int:
         """Least n for which every n*p_i is an integer."""
-        out = 1
-        for p in self.probs:
-            out = out * p.denominator // math.gcd(out, p.denominator)
-        return out
+        return math.lcm(*(p.denominator for p in self.probs))
 
     def scaled_counts(self, n: int) -> tuple[int, ...]:
         """The integer vector n*P; every entry must be integral."""

@@ -29,11 +29,19 @@ __all__ = [
 class Record:
     """Base of an immutable value whose fields are its __slots__: equal
     and hashed by field values, copied and pickled through its constructor,
-    with a constructor-style repr unless the subclass writes its own.  A
-    subclass's __init__ takes the fields in slot order, validates them and
-    stores them with _set_fields; nothing can assign to them afterwards."""
+    with a constructor-style repr unless the subclass writes its own.  It
+    takes the fields by position or by name; a subclass that validates them
+    stores them with _set_fields.  Nothing can assign to them afterwards."""
 
     __slots__ = ()
+
+    def __init__(self, *values: object, **named: object) -> None:
+        # an extra or repeated value collapses in the dict; a missing or
+        # unknown name leaves its keys unequal to the slots
+        fields = dict(zip(self.__slots__, values), **named)
+        if len(values) + len(named) != len(fields) or fields.keys() != set(self.__slots__):
+            raise TypeError(f"{type(self).__qualname__} takes {self.__slots__} once each")
+        self._set_fields(*map(fields.get, self.__slots__))
 
     def _set_fields(self, *values: object) -> None:
         for name, value in zip(self.__slots__, values, strict=True):

@@ -2,10 +2,11 @@
 
 Words are enumerated symbol by symbol. Reflection groups are closed
 under explicit multiplication acting on their root systems, each root
-system being the closure of the simple roots under their reflections.
-Subspaces of F_q^{2n} are one-step flags, enumerated through canonical
-echelon bases. GL_m and Sp_2n are both filled in column by column by
-one depth-first builder; Sp_2n is cached, enumerated once per (n, q).
+system being the closure of the simple roots under their reflections,
+built once per (family, rank). Subspaces of F_q^{2n} are one-step flags,
+enumerated through canonical echelon bases and the standard alternating
+form. GL_m and Sp_2n are both filled in column by column by one
+depth-first builder; Sp_2n is cached, enumerated once per (n, q).
 
 Nothing here reuses the closed forms it exists to validate; the only
 closed-form imports are the expected sizes used as closure caps and the
@@ -134,6 +135,16 @@ def _root_permutation(
     return tuple(out)
 
 
+@functools.cache
+def _root_system(family: str, rank: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    # the number of positive roots and the permutations of them by the
+    # simple reflections, in node order: one closure per (family, rank)
+    simples = _simple_roots(family, rank)
+    pos = _positive_roots(simples)
+    index = {r: i for i, r in enumerate(pos)}
+    return len(pos), tuple(_root_permutation(a, pos, index) for a in simples)
+
+
 def _compose(g: tuple[int, ...], h: tuple[int, ...]) -> tuple[int, ...]:
     # first h, then g
     out = []
@@ -187,22 +198,16 @@ def parabolic_length_census(
     """Same census over the subgroup generated by the simple reflections
     that survive the removal; lengths stay ambient."""
     (rank,) = _integral((rank,), "ranks")
-    simples = _simple_roots(family, rank)
+    npos, reflections = _root_system(family, rank)
     removed = sorted(_integral(removal, "removed nodes"))
     for r in removed:
         if not 1 <= r <= rank:
             raise ValueError(f"node {r} outside 1..{rank}")
     if len(set(removed)) != len(removed):
         raise ValueError("removal set has repeated nodes")
-    pos = _positive_roots(simples)
-    index = {r: i for i, r in enumerate(pos)}
-    gens = [
-        _root_permutation(a, pos, index)
-        for i, a in enumerate(simples, start=1)
-        if i not in removed
-    ]
-    elements = _close_group(gens, len(pos), group_order(family, rank))
-    return _census(elements, len(pos))
+    gens = [s for i, s in enumerate(reflections, start=1) if i not in removed]
+    elements = _close_group(gens, npos, group_order(family, rank))
+    return _census(elements, npos)
 
 
 # ---------------------------------------------------------------------------
@@ -214,21 +219,11 @@ def _check_field(q: int) -> None:
         raise ValueError("brute-force enumeration supports q in {2, 3} only")
 
 
-def _symplectic_gram(n: int, q: int) -> tuple[tuple[int, ...], ...]:
-    dim = 2 * n
-    rows = [[0] * dim for _ in range(dim)]
-    for i in range(n):
-        rows[i][n + i] = 1
-        rows[n + i][i] = q - 1
-    return tuple(tuple(r) for r in rows)
-
-def _form(J, u, v, q):
-    total = 0
-    for i, ui in enumerate(u):
-        if ui:
-            row = J[i]
-            total += ui * sum(row[j] * v[j] for j in range(len(v)))
-    return total % q
+def _omega(u: Sequence[int], v: Sequence[int], q: int) -> int:
+    # the standard alternating form on F_q^{2n}: sum over i < n of
+    # u_i v_{n+i} - u_{n+i} v_i
+    n = len(u) // 2
+    return sum(u[i] * v[n + i] - u[n + i] * v[i] for i in range(n)) % q
 
 
 def _rref_bases(s: int, dim: int, q: int):
@@ -266,12 +261,11 @@ def _span(rows, dim: int, q: int) -> frozenset:
 
 
 def _isotropic_spans(s: int, n: int, q: int) -> list[frozenset]:
-    J = _symplectic_gram(n, q)
     dim = 2 * n
     out = []
     for rows in _rref_bases(s, dim, q):
         if all(
-            _form(J, rows[i], rows[j], q) == 0
+            _omega(rows[i], rows[j], q) == 0
             for i in range(s)
             for j in range(i + 1, s)
         ):
@@ -352,16 +346,15 @@ def _symplectic_elements(n: int, q: int) -> tuple[tuple[tuple[int, ...], ...], .
     _check_field(q)
     if (n, q) not in SP_FEASIBLE:
         raise ValueError(f"enumeration feasible only for (n, q) in {sorted(SP_FEASIBLE)}")
-    J = _symplectic_gram(n, q)
+    dim = 2 * n
 
     def compatible(vectors: list, cols: tuple) -> Iterator[tuple]:
-        k = len(cols)
-        return (
-            v for v in vectors
-            if all(_form(J, c, v, q) == J[i][k] for i, c in enumerate(cols))
-        )
+        # column k is a v with omega(c_i, v) = omega(e_i, e_k) for each earlier c_i
+        e_k = _root(dim, len(cols))
+        pairs = [(c, _omega(_root(dim, i), e_k, q)) for i, c in enumerate(cols)]
+        return (v for v in vectors if all(_omega(c, v, q) == w for c, w in pairs))
 
-    return tuple(tuple(zip(*cols)) for cols in _column_lists(2 * n, q, compatible))
+    return tuple(tuple(zip(*cols)) for cols in _column_lists(dim, q, compatible))
 
 
 def enumerate_symplectic_group(n: int, q: int) -> int:
@@ -384,20 +377,6 @@ class OrbitStabilizerReport(Record):
     expected_orbit: int
     expected_stabilizer: int
     expected_group: int
-
-    def __init__(
-        self,
-        orbit_size: int,
-        stabilizer_size: int,
-        group_size: int,
-        expected_orbit: int,
-        expected_stabilizer: int,
-        expected_group: int,
-    ) -> None:
-        self._set_fields(
-            orbit_size, stabilizer_size, group_size,
-            expected_orbit, expected_stabilizer, expected_group,
-        )
 
     @property
     def holds(self) -> bool:

@@ -18,9 +18,6 @@ class IdentityReport(Record):
     lhs: object
     rhs: object
 
-    def __init__(self, lhs: object, rhs: object) -> None:
-        self._set_fields(lhs, rhs)
-
     @property
     def holds(self) -> bool:
         return self.lhs == self.rhs

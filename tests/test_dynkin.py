@@ -145,11 +145,29 @@ def test_poincare_closed_evaluates_to_group_order():
             assert poincare_closed(family, rank)(1) == group_order(family, rank)
 
 
+def _ref_poincare_parabolic(factors):
+    # the earlier route: the product of the cached closed forms
+    out = IntPolynomial.one()
+    for fam, rank in factors:
+        out = out * poincare_closed(fam, rank)
+    return out
+
+
 def test_poincare_parabolic_is_product():
     factors = [("A", 2), ("B", 2)]
     expected = poincare_closed("A", 2) * poincare_closed("B", 2)
     assert poincare_parabolic(factors) == expected
     assert poincare_parabolic([]) == IntPolynomial.one()
+    # flag_factors' (D, 1) tail has order 1 and polynomial 1
+    assert poincare_parabolic([("A", 2), ("D", 1)]) == poincare_closed("A", 2)
+    for family in ("A", "B", "C", "D"):
+        for rank in range(2 if family == "D" else 1, 7):
+            for k in range(rank + 1):
+                for removed in itertools.combinations(range(1, rank + 1), k):
+                    factors = remove_nodes(Diagram(family, rank), removed)
+                    assert poincare_parabolic(factors) == _ref_poincare_parabolic(
+                        factors
+                    ), (family, rank, removed)
 
 
 @st.composite

@@ -1,0 +1,52 @@
+"""The package's modules import one another in one direction only: each
+imports only modules earlier in LAYERS, also in its lazy imports inside
+functions, so no import cycle can form."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import orbit_entropy
+
+LAYERS = (
+    "exact", "entropy", "dynkin", "verify", "report",
+    "reflection", "symplectic", "oracle", "cli",
+)
+PACKAGE = Path(orbit_entropy.__file__).parent
+
+
+def _package_imports(path):
+    # the package modules a file imports: relative imports, absolute
+    # orbit_entropy ones and the names of `from . import x`
+    out = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom):
+            if node.level:
+                module = node.module
+            elif (node.module or "").split(".")[0] == "orbit_entropy":
+                module = node.module.partition(".")[2] or None
+            else:
+                continue
+            if module:
+                out.add(module.split(".")[0])
+            else:
+                out.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                top, _, rest = alias.name.partition(".")
+                if top == "orbit_entropy":
+                    out.add(rest.split(".")[0])
+    return out
+
+
+def test_every_module_has_a_layer():
+    modules = {p.stem for p in PACKAGE.glob("*.py")} - {"__init__"}
+    assert modules == set(LAYERS)
+
+
+@pytest.mark.parametrize("name", LAYERS)
+def test_imports_point_to_earlier_layers(name):
+    earlier = set(LAYERS[: LAYERS.index(name)])
+    imported = _package_imports(PACKAGE / f"{name}.py")
+    assert imported <= earlier, sorted(imported - earlier)

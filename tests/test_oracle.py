@@ -334,6 +334,25 @@ def test_symplectic_elements_reject_infeasible_pairs():
         oracle.stabilizer_and_orbit_check(2, 1, 2)
 
 
+def test_oracle_verify_closes_each_root_system_once(monkeypatch, capsys):
+    # its 88 censuses span 11 (family, rank) pairs; the roots, their index
+    # and the simple-reflection permutations depend on the pair alone
+    from orbit_entropy import cli
+
+    closure = oracle._positive_roots
+    calls = []
+
+    def counted(simples):
+        calls.append(tuple(simples))
+        return closure(simples)
+
+    monkeypatch.setattr(oracle, "_positive_roots", counted)
+    oracle._root_system.cache_clear()
+    assert cli.main(["oracle-verify"]) == 0
+    capsys.readouterr()
+    assert len(calls) == len(set(calls)) <= 11
+
+
 # the oracle stays independent of the closed forms it checks: its package
 # imports are pinned, so a new closed-form import fails here
 

@@ -87,6 +87,50 @@ def test_copy_and_pickle_keep_the_value(record, equal, unequal, text, field):
     assert pickle.loads(pickle.dumps(record)) == record
 
 
+# the records that only store their fields: one value built by position,
+# by name and both ways (copy and pickle are in CASES)
+FIELD_ONLY_CASES = [
+    (IdentityReport(6, 7), IdentityReport(rhs=7, lhs=6), IdentityReport(6, rhs=7)),
+    (
+        OrbitStabilizerReport(*ORBIT_FIELDS.values()),
+        OrbitStabilizerReport(**ORBIT_FIELDS),
+        OrbitStabilizerReport(15, 48, 720, expected_group=720, expected_orbit=15,
+                              expected_stabilizer=48),
+    ),
+]
+FIELD_ONLY_IDS = ["IdentityReport", "OrbitStabilizerReport"]
+
+
+@pytest.mark.parametrize("positional,named,mixed", FIELD_ONLY_CASES, ids=FIELD_ONLY_IDS)
+def test_field_only_records_take_fields_by_position_or_name(positional, named, mixed):
+    assert positional == named == mixed
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        pytest.param(lambda: IdentityReport(6), id="IdentityReport-too-few"),
+        pytest.param(lambda: IdentityReport(rhs=7), id="IdentityReport-too-few-named"),
+        pytest.param(lambda: IdentityReport(), id="IdentityReport-none"),
+        pytest.param(lambda: IdentityReport(6, 7, 8), id="IdentityReport-too-many"),
+        pytest.param(lambda: IdentityReport(6, 7, sign=1), id="IdentityReport-unknown"),
+        pytest.param(lambda: IdentityReport(6, rhs=7, lhs=6),
+                     id="IdentityReport-duplicate"),
+        pytest.param(lambda: OrbitStabilizerReport(*list(ORBIT_FIELDS.values())[:5]),
+                     id="OrbitStabilizerReport-too-few"),
+        pytest.param(lambda: OrbitStabilizerReport(*ORBIT_FIELDS.values(), 720),
+                     id="OrbitStabilizerReport-too-many"),
+        pytest.param(lambda: OrbitStabilizerReport(**ORBIT_FIELDS, holds=True),
+                     id="OrbitStabilizerReport-unknown"),
+        pytest.param(lambda: OrbitStabilizerReport(15, **ORBIT_FIELDS),
+                     id="OrbitStabilizerReport-duplicate"),
+    ],
+)
+def test_field_only_records_reject_bad_arguments(build):
+    with pytest.raises(TypeError):
+        build()
+
+
 def test_int_polynomial_strips_trailing_zeros_before_comparing():
     assert IntPolynomial((1, 2, 0)) == IntPolynomial((1, 2))
     assert hash(IntPolynomial((1, 2, 0))) == hash(IntPolynomial((1, 2)))

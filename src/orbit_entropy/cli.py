@@ -358,116 +358,74 @@ def _positive_compositions(total: int, max_parts: int):
             yield tuple(b - a for a, b in zip(bounds, bounds[1:]))
 
 
+def _oracle_cases(oracle, scope: str, max_rank: int) -> Iterator[tuple]:
+    """(check, case, oracle value, closed value) for each oracle-verify case
+    in scope, in output order; each oracle value is computed before the
+    closed form it is compared with."""
+    if scope in ("all", "words"):
+        for n in range(1, 7):
+            for counts in _positive_compositions(n, 3):
+                got = oracle.count_type_class(n, counts)
+                case = f"n={n} counts={','.join(map(str, counts))}"
+                yield "type-class", case, got, multinomial(n, counts)
+    if scope in ("all", "reflection"):
+        for family, lowest in (("A", 1), ("B", 1), ("D", 2)):
+            for rank in range(lowest, min(max_rank, oracle.MAX_RANK) + 1):
+                got = _poly_str(oracle.reflection_length_census(family, rank))
+                want = _poly_str(poincare_closed(family, rank))
+                case = f"{family} rank={rank}"
+                yield "length-census", case, got, want
+                diagram = Diagram(family, rank)
+                for size in range(1, rank + 1):
+                    for removal in itertools.combinations(range(1, rank + 1), size):
+                        got = _poly_str(oracle.parabolic_length_census(family, rank, removal))
+                        want = _poly_str(poincare_parabolic(remove_nodes(diagram, removal)))
+                        removed = ",".join(map(str, removal))
+                        yield "parabolic-census", f"{case} remove={removed}", got, want
+    if scope not in ("all", "symplectic"):
+        return
+    for q, n in itertools.product((2, 3), (1, 2)):
+        for s in range(n + 1):
+            got = oracle.enumerate_isotropic_subspaces(s, n, q)
+            yield "isotropic-subspaces", f"s={s} n={n} q={q}", got, ig_count(s, n, q)
+        shapes = [()] + [c for k in range(1, n + 1) for c in _positive_compositions(k, k)]
+        for incs in shapes:
+            got = oracle.enumerate_isotropic_flags(incs, n, q)
+            want = isotropic_flag_count(FlagType(incs, n, q))
+            case = f"increments={','.join(map(str, incs)) or '-'} n={n} q={q}"
+            yield "isotropic-flags", case, got, want
+    for q, m in itertools.product((2, 3), range(4)):
+        got = oracle.enumerate_general_linear(m, q)
+        yield "general-linear", f"m={m} q={q}", got, gl_order(m, q)
+    for n, q in sorted(oracle.SP_FEASIBLE):
+        got = oracle.enumerate_symplectic_group(n, q)
+        yield "symplectic-group", f"n={n} q={q}", got, sp_order(n, q)
+    for n in (1, 2):
+        for s in range(n + 1):
+            report = oracle.stabilizer_and_orbit_check(s, n, 2)
+            got = f"orbit={report.orbit_size} stab={report.stabilizer_size}"
+            want = f"orbit={report.expected_orbit} stab={report.expected_stabilizer}"
+            yield "orbit-stabilizer", f"s={s} n={n} q=2", got, want
+
+
+def _oracle_record(check: str, case: str, got: object, want: object, match: bool) -> dict:
+    return {"command": "oracle-verify", "check": check, "case": case,
+            "oracle": str(got), "closed": str(want), "match": match}
+
+
 def _cmd_oracle_verify(args: argparse.Namespace) -> tuple[list[dict], int]:
     from . import oracle  # only this command needs it; kept off the start-up path
 
     max_rank = oracle.MAX_RANK if args.max_rank is None else args.max_rank
     if max_rank < 1:
         raise CliParseError("--max-rank must be at least 1")
-    records: list[dict] = []
-    failures = 0
-
-    def add(check: str, case: str, got: object, want: object) -> None:
-        nonlocal failures
-        match = got == want
-        if not match:
-            failures += 1
-        records.append(
-            {
-                "command": "oracle-verify",
-                "check": check,
-                "case": case,
-                "oracle": str(got),
-                "closed": str(want),
-                "match": match,
-            }
-        )
-
-    if args.scope in ("all", "words"):
-        for n in range(1, 7):
-            for counts in _positive_compositions(n, 3):
-                add(
-                    "type-class",
-                    f"n={n} counts={','.join(map(str, counts))}",
-                    oracle.count_type_class(n, counts),
-                    multinomial(n, counts),
-                )
-    if args.scope in ("all", "reflection"):
-        max_rank = min(max_rank, oracle.MAX_RANK)
-        for family in ("A", "B", "D"):
-            lo = 2 if family == "D" else 1
-            for rank in range(lo, max_rank + 1):
-                add(
-                    "length-census",
-                    f"{family} rank={rank}",
-                    _poly_str(oracle.reflection_length_census(family, rank)),
-                    _poly_str(poincare_closed(family, rank)),
-                )
-                diagram = Diagram(family, rank)
-                for size in range(1, rank + 1):
-                    for removal in itertools.combinations(range(1, rank + 1), size):
-                        add(
-                            "parabolic-census",
-                            f"{family} rank={rank} remove={','.join(map(str, removal))}",
-                            _poly_str(oracle.parabolic_length_census(family, rank, removal)),
-                            _poly_str(poincare_parabolic(remove_nodes(diagram, removal))),
-                        )
-    if args.scope in ("all", "symplectic"):
-        for q in (2, 3):
-            for n in (1, 2):
-                for s in range(n + 1):
-                    add(
-                        "isotropic-subspaces",
-                        f"s={s} n={n} q={q}",
-                        oracle.enumerate_isotropic_subspaces(s, n, q),
-                        ig_count(s, n, q),
-                    )
-                shapes = [()] + [
-                    c
-                    for total in range(1, n + 1)
-                    for c in _positive_compositions(total, total)
-                ]
-                for incs in shapes:
-                    add(
-                        "isotropic-flags",
-                        f"increments={','.join(map(str, incs)) or '-'} n={n} q={q}",
-                        oracle.enumerate_isotropic_flags(incs, n, q),
-                        isotropic_flag_count(FlagType(incs, n, q)),
-                    )
-        for q in (2, 3):
-            for m in range(4):
-                add(
-                    "general-linear",
-                    f"m={m} q={q}",
-                    oracle.enumerate_general_linear(m, q),
-                    gl_order(m, q),
-                )
-        for n, q in sorted(oracle.SP_FEASIBLE):
-            add(
-                "symplectic-group",
-                f"n={n} q={q}",
-                oracle.enumerate_symplectic_group(n, q),
-                sp_order(n, q),
-            )
-        for n in (1, 2):
-            for s in range(n + 1):
-                report = oracle.stabilizer_and_orbit_check(s, n, 2)
-                add(
-                    "orbit-stabilizer",
-                    f"s={s} n={n} q=2",
-                    f"orbit={report.orbit_size} stab={report.stabilizer_size}",
-                    f"orbit={report.expected_orbit} stab={report.expected_stabilizer}",
-                )
-    records.append(
-        {
-            "command": "oracle-verify",
-            "check": "summary",
-            "case": f"checks={len(records)} failures={failures}",
-            "oracle": "",
-            "closed": "",
-            "match": failures == 0,
-        }
-    )
+    records = [
+        _oracle_record(check, case, got, want, got == want)
+        for check, case, got, want in _oracle_cases(oracle, args.scope, max_rank)
+    ]
+    failures = sum(not rec["match"] for rec in records)
+    summary = f"checks={len(records)} failures={failures}"
+    records.append(_oracle_record("summary", summary, "", "", failures == 0))
     return records, 0 if failures == 0 else 1
 
 

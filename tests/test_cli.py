@@ -457,6 +457,78 @@ def test_oracle_verify_max_rank_below_one_is_a_parse_error(max_rank, capsys):
     assert err == "error: --max-rank must be at least 1\n"
 
 
+# the checks each --scope runs; "all" runs every one of them
+ORACLE_SCOPE_CHECKS = {
+    "words": {"type-class"},
+    "reflection": {"length-census", "parabolic-census"},
+    "symplectic": {
+        "isotropic-subspaces",
+        "isotropic-flags",
+        "general-linear",
+        "symplectic-group",
+        "orbit-stabilizer",
+    },
+}
+
+
+def oracle_verify_cases(argv, capsys):
+    """stdout and case records of a passing oracle-verify run."""
+    code, out, err = run_cli(["oracle-verify", *argv], capsys)
+    assert (code, err) == (0, "")
+    *cases, summary = [json.loads(line) for line in out.splitlines()]
+    assert summary == {
+        "command": "oracle-verify",
+        "check": "summary",
+        "case": f"checks={len(cases)} failures=0",
+        "oracle": "",
+        "closed": "",
+        "match": True,
+    }
+    return out, cases
+
+
+def test_oracle_verify_scopes_are_slices_of_the_full_run(capsys):
+    full_out, full = oracle_verify_cases(["--scope", "all"], capsys)
+    assert {r["check"] for r in full} == set().union(*ORACLE_SCOPE_CHECKS.values())
+    for scope, checks in ORACLE_SCOPE_CHECKS.items():
+        _, cases = oracle_verify_cases(["--scope", scope], capsys)
+        assert cases == [r for r in full if r["check"] in checks], scope
+    # reflection cases read "<family> rank=<rank>[ remove=...]"
+    _, low = oracle_verify_cases(["--scope", "reflection", "--max-rank", "2"], capsys)
+    assert len(low) == 16
+    assert low == [
+        r
+        for r in full
+        if r["check"] in ORACLE_SCOPE_CHECKS["reflection"]
+        and int(r["case"].split()[1].removeprefix("rank=")) <= 2
+    ]
+    # ranks past the oracle's cap run exactly the default cases
+    assert oracle_verify_cases(["--max-rank", "9"], capsys)[0] == full_out
+
+
+def test_oracle_verify_reports_every_mismatch(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "gl_order", lambda m, q: 0)
+    code, out, err = run_cli(["oracle-verify"], capsys)
+    assert (code, err) == (1, "")
+    *cases, summary = [json.loads(line) for line in out.splitlines()]
+    assert len(cases) == 167
+    assert [r["check"] for r in cases if not r["match"]] == ["general-linear"] * 8
+    assert (summary["case"], summary["match"]) == ("checks=167 failures=8", False)
+
+
+@pytest.mark.parametrize(
+    "exc, code", [(ValueError, 3), (exact.InexactDivisionError, 1)]
+)
+def test_oracle_verify_error_prints_no_records(exc, code, monkeypatch, capsys):
+    from orbit_entropy import oracle
+
+    def fail(n, q):
+        raise exc("oracle failed")
+
+    monkeypatch.setattr(oracle, "enumerate_symplectic_group", fail)
+    assert run_cli(["oracle-verify"], capsys) == (code, "", "error: oracle failed\n")
+
+
 ORACLE_VERIFY_HELP = """\
 usage: orbit-entropy oracle-verify [-h] [--format {json,csv}]
                                    [--scope {all,words,reflection,symplectic}]
@@ -629,6 +701,10 @@ BIG_OUTPUT_SHA256 = [
         ["oracle-verify"],
         "0ebad3a678fb39b292ff818f0560d83ab200cb35c6c8ebc1c9034d5e48d20a23",
     ),
+    (
+        ["oracle-verify", "--format", "csv"],
+        "d7fef98634b9914ffc568efe98ad6ac0b706900e472c34f20f9be3c291e4f49e",
+    ),
 ]
 
 
@@ -636,7 +712,7 @@ BIG_OUTPUT_SHA256 = [
     "argv,digest",
     BIG_OUTPUT_SHA256,
     ids=["count-json", "count-csv", "chain-check", "converge-symplectic",
-         "converge-reflection", "oracle-verify"],
+         "converge-reflection", "oracle-verify", "oracle-verify-csv"],
 )
 def test_big_output_is_pinned(argv, digest, capsys):
     code, out, err = run_cli(argv, capsys)

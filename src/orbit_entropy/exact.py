@@ -5,12 +5,17 @@ Counts are plain Python ints, so there is no overflow at any input size.
 Division helpers never round: a nonzero remainder means some counting
 identity was violated upstream, and that is reported as
 ``InexactDivisionError`` rather than silently truncated.
+
+The private ``_log_count`` takes ``math.log`` of a count from a certified
+bound on its natural logarithm, without building the count, and returns
+the same float bit for bit.
 """
 
 from __future__ import annotations
 
+import decimal
 import math
-from collections.abc import Iterable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 
 __all__ = [
     "InexactDivisionError",
@@ -282,3 +287,180 @@ def _pack(coeffs: Sequence[int], width: int) -> int:
 
     return join(max(c, 0) for c in coeffs) - join(max(-c, 0) for c in coeffs)
 
+
+# The one context of the certified logarithms below.  ln, exp and the
+# arithmetic are correctly rounded in it, so each operation errs by at most
+# half an ulp of its result; no code here uses the thread's context.
+_LOG_CONTEXT = decimal.Context(
+    prec=60,
+    rounding=decimal.ROUND_HALF_EVEN,
+    traps=[decimal.InvalidOperation, decimal.DivisionByZero, decimal.Overflow],
+)
+# Estimated bit length of a count from which _log_count takes its log from
+# bounds: below it, building the count is the faster.  Measured on Python
+# 3.11.7 on an Intel Xeon, count and math.log against bounds, best of 5:
+# reflection B at P = (1/2, 1/2), 4,601 and 9,208 bits, 0.46 and 1.59 ms
+# against 0.46 and 0.48 ms; Sp at q = 2, P = (1/8, 3/8, 1/2), 6,216 and
+# 11,040 bits, 1.08 and 1.56 ms against 1.22 and 1.32 ms.
+_LOG_BOUND_BITS = 1 << 13
+# c_j = B_2j / (2j (2j - 1)) for j = 1, ..., 11, as (numerator, denominator):
+# ln k! = (k + 1/2) ln k - k + ln(2 pi) / 2 + sum_j c_j / k^(2j - 1), and for
+# k > 0 the remainder after any term is below the first term left out
+# (DLMF 5.11.ii), so the last entry bounds the sum of the first ten
+_STIRLING = (
+    (1, 12), (-1, 360), (1, 1260), (-1, 1680), (1, 1188), (-691, 360360),
+    (1, 156), (-3617, 122400), (43867, 244188), (-174611, 125400), (77683, 5796),
+)
+# below this k, ln k! is taken of the exact k!; at it the series' remainder
+# is below 10^-36
+_STIRLING_FROM = 64
+# ln 2 and ln(2 pi) / 2 to 70 places, each short by less than _CONSTANT_ERROR
+_LN2 = decimal.Decimal(
+    "0.6931471805599453094172321214581765680755001343602552541206800094933936"
+)
+_HALF_LN_2PI = decimal.Decimal(
+    "0.9189385332046727417803297364056176398613974736377834128171515404827656"
+)
+_CONSTANT_ERROR = decimal.Decimal("1e-70")
+_HALF = decimal.Decimal("0.5")
+
+
+def _roundings(count: int, scale: int) -> decimal.Decimal:
+    # a bound on the error of count operations in _LOG_CONTEXT whose results
+    # are at most scale in magnitude: each rounds by half an ulp, at most
+    # scale * 10^(1 - prec) / 2, and the other half of 10^(1 - prec) covers
+    # the rounding of an input the operation scales up to its result
+    return decimal.Decimal(count * scale).scaleb(1 - _LOG_CONTEXT.prec, _LOG_CONTEXT)
+
+
+def _ln_factorial(k: int) -> tuple[decimal.Decimal, decimal.Decimal]:
+    # ln k! in _LOG_CONTEXT and a bound on its error: one rounding of the
+    # exact k! below _STIRLING_FROM, else the Stirling series
+    ctx = _LOG_CONTEXT
+    if k < _STIRLING_FROM:
+        return ctx.ln(math.factorial(k)), _roundings(1, k * k)
+    value = ctx.subtract(ctx.multiply(ctx.add(k, _HALF), ctx.ln(k)), k)
+    value = ctx.add(value, _HALF_LN_2PI)
+    *terms, (c, d) = _STIRLING
+    for j, (cj, dj) in enumerate(terms, 1):
+        value = ctx.add(value, ctx.divide(cj, dj * k ** (2 * j - 1)))
+    # 5 roundings before the series and 2 per term, none on a value above
+    # (k + 1) ln k; the constant's error; and the remainder, doubled to
+    # cover the rounding of the bound itself
+    roundings = _roundings(5 + 2 * len(terms), (k + 1) * k.bit_length())
+    remainder = ctx.divide(2 * abs(c), d * k ** (2 * len(terms) + 1))
+    return value, ctx.add(roundings, ctx.add(remainder, _CONSTANT_ERROR))
+
+
+def _ln_factorial_ratio(
+    m: int, parts: Sequence[int], twos: int
+) -> tuple[decimal.Decimal, decimal.Decimal]:
+    """ln(m! / prod(p! for p in parts) * 2^twos) in _LOG_CONTEXT, for
+    nonnegative integers with sum(parts) <= m, and a bound on its error."""
+    ctx = _LOG_CONTEXT
+    value, error = _ln_factorial(m)
+    for p in parts:
+        term, term_error = _ln_factorial(p)
+        value, error = ctx.subtract(value, term), ctx.add(error, term_error)
+    value = ctx.add(value, ctx.multiply(twos, _LN2))
+    # a subtraction per part, the multiple of ln 2 and the sum, none on a
+    # value above ln m! + twos; and ln 2's error, times twos
+    roundings = _roundings(len(parts) + 2, (m + 1) * m.bit_length() + twos)
+    constant = ctx.multiply(twos, _CONSTANT_ERROR)
+    return value, ctx.add(error, ctx.add(roundings, constant))
+
+
+def _ln_degree_ratio(
+    numer: Sequence[int], denom: Sequence[int], q: int
+) -> tuple[decimal.Decimal, decimal.Decimal]:
+    """ln of prod(q^a - 1 for a in numer) / prod(q^b - 1 for b in denom) in
+    _LOG_CONTEXT, for positive degrees and q >= 2, and a bound on its error.
+
+    q^a - 1 = q^a (1 - q^-a), so the log is D ln q, with D = sum(numer) -
+    sum(denom) exact, plus the log of the ratio of the products of the
+    1 - q^-a.  From the cutoff c on, q^-a < 10^-prec, and since
+    |ln(1 - x)| <= 2x for x <= 1/2 those factors are bounded, not used.
+    """
+    ctx = _LOG_CONTEXT
+    cutoff = 1
+    while q**cutoff <= 10**ctx.prec:
+        cutoff += 1
+    factors = [ctx.divide(q**a - 1, q**a) for a in range(cutoff)]
+    ratio, used = decimal.Decimal(1), 0
+    for degrees, step in ((numer, ctx.multiply), (denom, ctx.divide)):
+        for a in degrees:
+            if a < cutoff:
+                ratio, used = step(ratio, factors[a]), used + 1
+    degree = sum(numer) - sum(denom)
+    value = ctx.add(ctx.multiply(degree, ctx.ln(q)), ctx.ln(ratio))
+    # each factor used and each step rounds the ratio by a relative half
+    # ulp; then ln q, its multiple, the log of the ratio and the sum.  Each
+    # factor lies in [1/2, 1), so no value exceeds |D| (ln q + 1) + 2 used.
+    # A factor left out moves the log by less than 2 * 10^-prec.
+    scale = abs(degree) * (q.bit_length() + 1) + 2 * used + 1
+    roundings = _roundings(2 * used + 4, scale)
+    left_out = len(numer) + len(denom) - used
+    tail = decimal.Decimal(2 * left_out).scaleb(-ctx.prec, ctx)
+    return value, ctx.add(roundings, tail)
+
+
+def _log_of_frexp(x: float, e: int) -> float:
+    # CPython 3.11's math.log of an int N beyond the double range, from
+    # N's frexp (x, e): its mantissa x in [0.5, 1), rounded half to even to
+    # 53 bits with a carry to (0.5, e + 1), and its exponent
+    return math.log(x) + math.log(2.0) * e
+
+
+def _log_from_ln(ln_count: decimal.Decimal, error: decimal.Decimal) -> float | None:
+    """math.log(N) for the int N with |ln N - ln_count| <= error, the same
+    float bit for bit, or None when the bound leaves it open.
+
+    With e the bit length of N, y = N / 2^(e - 53) lies in [2^52, 2^53) and
+    rounds half to even to N's 53-bit mantissa times 2^53.  So the float is
+    fixed once the bound puts y in that range and strictly between two
+    consecutive halves.  None also for an N that may lie in the double
+    range, whose log math.log takes of float(N).
+    """
+    ctx = _LOG_CONTEXT
+    e = int(ctx.divide(ln_count, _LN2).to_integral_value(decimal.ROUND_FLOOR, ctx)) + 1
+    t = ctx.subtract(ln_count, ctx.multiply(e - 53, _LN2))
+    # ln y, after the product and the difference on values below |e| + 53,
+    # and ln 2's error times e - 53
+    constant = ctx.multiply(abs(e - 53), _CONSTANT_ERROR)
+    t_error = ctx.add(error, ctx.add(_roundings(2, abs(e) + 53), constant))
+    if t_error > _HALF:
+        return None
+    # exp rounds by half an ulp, and e^x - 1 <= 2x for 0 <= x <= 1/2; the
+    # factor 2 covers y against N / 2^(e - 53) and the rounding of the bound
+    y = ctx.exp(t)
+    y_error = ctx.multiply(
+        ctx.multiply(2, y), ctx.add(ctx.multiply(2, t_error), _roundings(1, 1))
+    )
+    mantissa = int(y.to_integral_value(decimal.ROUND_HALF_EVEN, ctx))
+    if not (
+        ctx.subtract(y, y_error) >= 1 << 52
+        and ctx.add(y, y_error) < 1 << 53
+        and ctx.add(ctx.abs(ctx.subtract(y, mantissa)), y_error) < _HALF
+    ):
+        return None
+    if mantissa == 1 << 53:
+        mantissa, e = 1 << 52, e + 1
+    if e <= 1024:
+        return None
+    return _log_of_frexp(mantissa / 2**53, e)
+
+
+def _log_count(
+    bits: float,
+    ln_count: Callable[[], tuple[decimal.Decimal, decimal.Decimal]],
+    count: Callable[[], int],
+) -> float:
+    """math.log(count()), the same float bit for bit.  When the count's
+    estimated bit length reaches _LOG_BOUND_BITS, the float comes from the
+    certified bounds ln_count() returns, without building the count, unless
+    they leave it open."""
+    if bits >= _LOG_BOUND_BITS:
+        value = _log_from_ln(*ln_count())
+        if value is not None:
+            return value
+    return math.log(count())

@@ -14,7 +14,13 @@ from functools import partial
 
 from .dynkin import ParabolicType, _check_rank, flag_factors, poincare_quotient
 from .entropy import CoarseMap, ProbVec
-from .exact import InexactDivisionError, IntPolynomial, multinomial
+from .exact import (
+    InexactDivisionError,
+    IntPolynomial,
+    _ln_factorial_ratio,
+    _log_count,
+    multinomial,
+)
 from .report import IdentityReport, chain_rule_check
 
 __all__ = [
@@ -26,13 +32,14 @@ __all__ = [
 ]
 
 
-def _index(family: str, rank: int, factors: ParabolicType) -> int:
-    # the length generating function at t = 1, without building it or
-    # dividing: |W| = m! 2^twos with m = rank + 1 for A and m = rank, twos =
-    # rank (rank - 1 for D) otherwise; an A_r factor is (r + 1)!, a B/C_r
-    # factor r! 2^r and a D_r factor r! 2^{r-1}.  So |W|/|W_P| is the
-    # multinomial of m over the factor sizes and the rest (the rank-0
-    # blocks), times rest! and the 2s left over.
+def _index_terms(
+    family: str, rank: int, factors: ParabolicType
+) -> tuple[int, list[int], int]:
+    # (m, parts, twos) with |W|/|W_P| = m! / prod(p! for p in parts) * 2^twos:
+    # |W| = m! 2^twos with m = rank + 1 for A and m = rank, twos = rank
+    # (rank - 1 for D) otherwise; an A_r factor is (r + 1)!, a B/C_r factor
+    # r! 2^r and a D_r factor r! 2^{r-1}.  Both the count and its log start
+    # here, so both validate the same way.
     rank = _check_rank(family, rank)
     m = rank + 1 if family == "A" else rank
     twos = 0 if family == "A" else rank - (family == "D")
@@ -44,10 +51,31 @@ def _index(family: str, rank: int, factors: ParabolicType) -> int:
         else:
             parts.append(r)
             twos -= r - (fam == "D")
-    rest = m - sum(parts)
-    if rest < 0 or twos < 0:
+    if sum(parts) > m or twos < 0:
         raise InexactDivisionError(f"factors {factors} do not fit in {family}{rank}")
+    return m, parts, twos
+
+
+def _index(family: str, rank: int, factors: ParabolicType) -> int:
+    # the length generating function at t = 1, without building it or
+    # dividing: the multinomial of m over the parts and the rest (the
+    # rank-0 blocks), times rest! and the 2s left over
+    m, parts, twos = _index_terms(family, rank, factors)
+    rest = m - sum(parts)
     return multinomial(m, parts + [rest]) * math.factorial(rest) << twos
+
+
+def _log_index(family: str, rank: int, factors: ParabolicType) -> float:
+    # math.log(_index(...)); from exact._LOG_BOUND_BITS on, by Stirling
+    # bounds on the ln k! terms, without building the index
+    m, parts, twos = _index_terms(family, rank, factors)
+    ln_estimate = math.lgamma(m + 1) - sum(math.lgamma(p + 1) for p in parts)
+    bits = ln_estimate / math.log(2) + twos
+    return _log_count(
+        bits,
+        partial(_ln_factorial_ratio, m, parts, twos),
+        partial(_index, family, rank, factors),
+    )
 
 
 def _orbit(family: str, n: int, dist: ProbVec, quotient, one):
@@ -70,9 +98,17 @@ def orbit_poincare(family: str, n: int, dist: ProbVec) -> IntPolynomial:
 
 
 def normalized_log_orbit(family: str, n: int, dist: ProbVec) -> float:
-    # math.log splits a big int into mantissa and exponent, so counts far
-    # beyond float range keep full double precision
-    return math.log(orbit_count(family, n, dist)) / n
+    """math.log(orbit_count(family, n, dist)) / n, the same float bit for bit.
+
+    math.log splits a big int into mantissa and exponent, so counts far
+    beyond float range keep full double precision.  From an estimated
+    exact._LOG_BOUND_BITS bits on, the log comes from a certified bound on
+    ln |W/W_P| = ln m! - sum ln p_i! + twos ln 2 instead: the Stirling series
+    with its remainder bounded, in 60-digit decimal arithmetic.  The float
+    is the one math.log returns for the count, or the count is built when
+    the bound cannot fix it.
+    """
+    return _orbit(family, n, dist, _log_index, 0.0) / n
 
 
 def coarsening_cardinality_check(

@@ -10,9 +10,17 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Sequence
+from functools import partial
 
 from .entropy import CoarseMap, ProbVec
-from .exact import Record, _integral, cyclotomic_product, q_multinomial
+from .exact import (
+    Record,
+    _integral,
+    _ln_degree_ratio,
+    _log_count,
+    cyclotomic_product,
+    q_multinomial,
+)
 from .report import IdentityReport, chain_rule_check
 from .verify import (
     _flag_stabilizer_order,
@@ -21,6 +29,7 @@ from .verify import (
     _reductive_order,
     _symplectic_order,
     check_flag_count,
+    check_flag_exponents,
 )
 
 __all__ = [
@@ -67,6 +76,22 @@ def _flag_count(blocks: Sequence[int], n: int, q: int) -> int:
     value = cyclotomic_product(exponents, q)
     check_flag_count(blocks, n, q, exponents, value)
     return value
+
+
+def _log_flag_count(blocks: Sequence[int], n: int, q: int) -> float:
+    # math.log(_flag_count(blocks, n, q)).  From exact._LOG_BOUND_BITS on,
+    # the exponent vector is still proved against the degree lists, and the
+    # log is bounded over those lists; only the product and its residue
+    # check are skipped.
+    stabilizer, group = _flag_stabilizer_order(blocks, n), _symplectic_order(n)
+    levi, degrees = stabilizer[1], group[1]
+
+    def ln_count():
+        check_flag_exponents(_flag_exponents(blocks, n), stabilizer, group)
+        return _ln_degree_ratio(degrees, levi, q)
+
+    bits = (sum(degrees) - sum(levi)) * math.log2(q)
+    return _log_count(bits, ln_count, partial(_flag_count, blocks, n, q))
 
 
 def gl_order(m: int, q: int) -> int:
@@ -144,9 +169,20 @@ def sp_quotient_closed(n: int, dist: ProbVec, q: int) -> int:
 
 
 def normalized_logq_quotient(n: int, dist: ProbVec, q: int) -> float:
-    # growth is superexponential, rate n^2, hence the normalization
-    count = sp_quotient_closed(n, dist, q)
-    return math.log(count) / (n * n * math.log(q))
+    """math.log(sp_quotient_closed(n, dist, q)) / (n^2 ln q), the same float
+    bit for bit; growth is superexponential, rate n^2, hence the
+    normalization.
+
+    From an estimated exact._LOG_BOUND_BITS bits on, the count is not built.
+    Its exponent vector is still proved against the degree lists of Sp_n
+    and of the Levi factor (verify's step 1), and the log comes from a
+    certified bound on D ln q + sum ln(1 - q^-a) - sum ln(1 - q^-b) over
+    those lists, in 60-digit decimal arithmetic.  The float is the one
+    math.log returns for the count, or the count is built when the bound
+    cannot fix it.
+    """
+    q, n = _check_q(q, n)
+    return _log_flag_count(dist.scaled_counts(n)[:-1], n, q) / (n * n * math.log(q))
 
 
 def symplectic_chain_identity_check(

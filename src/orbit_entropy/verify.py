@@ -24,6 +24,10 @@ big integer only in the fallback of step 2:
    0 mod p says nothing about the count and is skipped; with fewer than
    two primes left, the exact big-integer equality runs instead.
 
+``normalized_logq_quotient`` runs step 1 alone, through
+``check_flag_exponents``, when it takes the log of a count from bounds
+over these degree lists without building the count.
+
 The flag-count identity count = ig_count(s) * q_multinomial(s, m), with
 s = sum m, written through group orders, is this factorization for the
 same P, so one proof covers both.  Any failure raises
@@ -38,7 +42,7 @@ from collections.abc import Iterable, Sequence
 from .dynkin import _bracket_sizes
 from .exact import InexactDivisionError, product
 
-__all__ = ["PRIMES", "check_flag_count"]
+__all__ = ["PRIMES", "check_flag_count", "check_flag_exponents"]
 
 # safe primes p = 2p' + 1 below 2^61: every q other than 0 and +-1 mod p has
 # multiplicative order at least p' > 2^59, so no factor q^j - 1 a count can
@@ -69,14 +73,21 @@ def _flag_stabilizer_order(blocks: Sequence[int], n: int) -> GroupOrder:
     return _symplectic_order(n)[0], levi
 
 
-def _proves(exponents: Sequence[int], stabilizer: GroupOrder, group: GroupOrder) -> bool:
+def check_flag_exponents(
+    exponents: Sequence[int], stabilizer: GroupOrder, group: GroupOrder
+) -> None:
+    """Step 1 alone, the symbolic proof that the product of
+    Phi_d(q)^{exponents[d]} is |group| / |stabilizer| as polynomials in q."""
     (a, js), (b, ks) = stabilizer, group
     net = [0] * (max(ks, default=0) + 1)
     for k in ks:
         net[k] += 1
     for j in js:
         net[j] -= 1
-    return a == b and list(exponents) == [0] + [sum(net[d::d]) for d in range(1, len(net))]
+    if a != b or list(exponents) != [0] + [sum(net[d::d]) for d in range(1, len(net))]:
+        raise InexactDivisionError(
+            "flag count exponents fail the stabilizer factorization"
+        )
 
 
 def _order_mod(order: GroupOrder, q: int, p: int) -> int:
@@ -102,10 +113,7 @@ def check_flag_count(
     len(exponents) = 2n + 1, is the number of isotropic flags with
     increments ``blocks`` in a 2n-dimensional symplectic space over F_q."""
     stabilizer, group = _flag_stabilizer_order(blocks, n), _symplectic_order(n)
-    if not _proves(exponents, stabilizer, group):
-        raise InexactDivisionError(
-            "flag count exponents fail the stabilizer factorization"
-        )
+    check_flag_exponents(exponents, stabilizer, group)
     residues = [(p, m) for p in PRIMES if (m := _order_mod(stabilizer, q, p))]
     if len(residues) >= 2:
         holds = all(value % p * m % p == _order_mod(group, q, p) for p, m in residues)

@@ -1,13 +1,17 @@
 """Tests for the exact arithmetic kernel: division, multinomials, q-analogs,
 and the integer polynomial type everything else is built on."""
 
+import decimal
 import itertools
 import math
+import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from orbit_entropy.cli import _positive_compositions
+from orbit_entropy import exact
 from orbit_entropy.dynkin import flag_factors, poincare_quotient
 from orbit_entropy.exact import (
     InexactDivisionError,
@@ -267,3 +271,158 @@ def test_q_multinomial_rejects_bad_input():
         q_multinomial(2, (3, -1), 2)
     with pytest.raises(ValueError):
         q_multinomial(2, (1, 1), 1)
+
+
+# --- math.log of a count from certified bounds on its natural log ---------
+
+
+def _frexp(n):
+    # the frexp of an int n of more than 53 bits as CPython 3.11 takes it:
+    # the mantissa rounded half to even to 53 bits, with a carry to
+    # (0.5, e + 1), and the exponent
+    e = n.bit_length()
+    shift = e - 53
+    top, low, half = n >> shift, n & ((1 << shift) - 1), 1 << (shift - 1)
+    if low > half or (low == half and top & 1):
+        top += 1
+    if top == 1 << 53:
+        top, e = 1 << 52, e + 1
+    return top / 2**53, e
+
+
+def _is_tie(n):
+    # the bits of n below its 53-bit mantissa are exactly one half
+    shift = n.bit_length() - 53
+    return n & ((1 << shift) - 1) == 1 << (shift - 1)
+
+
+def _beyond_double_range(count, seed):
+    # ints of 1,100 to 10^6 bits, log-uniform in size; every third one a
+    # round-half-even tie, every third one 53 one bits that carry
+    rng = random.Random(seed)
+    for i in range(count):
+        bits = int(1100 * (10**6 / 1100) ** rng.random())
+        n = rng.getrandbits(bits) | 1 << (bits - 1)
+        shift = bits - 53
+        if i % 3 == 1:
+            n = n >> shift << shift | 1 << (shift - 1)
+        elif i % 3 == 2:
+            n = ((1 << 53) - 1) << shift | n & ((1 << shift) - 1) | 1 << (shift - 1)
+        yield n
+
+
+def _ln(n):
+    # ln n for an int n >= 1, within 2^-290: the top 300 bits, shifted
+    shift = max(0, n.bit_length() - 300)
+    with decimal.localcontext(decimal.Context(prec=120)) as ctx:
+        value = ctx.ln(n >> shift) + shift * ctx.ln(2)
+    return value, decimal.Decimal(2) ** -290
+
+
+def test_math_log_of_a_big_int_is_the_log_of_its_frexp():
+    # the step _log_from_ln rests on; a CPython that takes math.log of an
+    # int another way fails here
+    cases = list(_beyond_double_range(300, seed=17))
+    assert sum(map(_is_tie, cases)) >= 100
+    assert any(_frexp(n) == (0.5, n.bit_length() + 1) for n in cases)
+    for n in cases:
+        assert exact._log_of_frexp(*_frexp(n)) == math.log(n)
+
+
+def test_log_from_ln_gives_math_log_or_none_on_a_tie():
+    for n in _beyond_double_range(300, seed=18):
+        value = exact._log_from_ln(*_ln(n))
+        if _is_tie(n):
+            # y is exactly a half: no bound, however tight, fixes its rounding
+            assert value is None
+        else:
+            assert value == math.log(n)
+
+
+def test_log_from_ln_leaves_the_double_range_and_wide_bounds_open():
+    n = 3**600  # 951 bits: math.log takes it as a float
+    assert exact._log_from_ln(*_ln(n)) is None
+    n = 3**1000
+    ln_n, _ = _ln(n)
+    assert exact._log_from_ln(ln_n, decimal.Decimal("1e-30")) == math.log(n)
+    assert exact._log_from_ln(ln_n, decimal.Decimal("1e-3")) is None
+
+
+def test_log_constants():
+    with decimal.localcontext(decimal.Context(prec=100)) as ctx:
+        # Machin: pi = 16 atan(1/5) - 4 atan(1/239)
+        def atan_inv(x):
+            total, power, k = decimal.Decimal(0), decimal.Decimal(1) / x, 1
+            while power > decimal.Decimal(10) ** -95:
+                total += (-1) ** (k // 2) * power / k
+                power, k = power / (x * x), k + 2
+            return total
+
+        pi = 16 * atan_inv(5) - 4 * atan_inv(239)
+        assert abs(ctx.ln(2) - exact._LN2) < exact._CONSTANT_ERROR
+        assert abs(ctx.ln(2 * pi) / 2 - exact._HALF_LN_2PI) < exact._CONSTANT_ERROR
+
+
+def test_stirling_coefficients_are_the_bernoulli_terms():
+    bernoulli = [Fraction(1)]
+    for m in range(1, 2 * len(exact._STIRLING) + 1):
+        bernoulli.append(-sum(math.comb(m + 1, k) * bernoulli[k] for k in range(m)) / (m + 1))
+    for j, (c, d) in enumerate(exact._STIRLING, 1):
+        assert Fraction(c, d) == bernoulli[2 * j] / (2 * j * (2 * j - 1))
+
+
+@pytest.mark.parametrize("k", [*range(0, 70), 100, 1000, 4096, 65535])
+def test_ln_factorial_lies_within_its_bound(k):
+    value, error = exact._ln_factorial(k)
+    truth, slack = _ln(math.factorial(k))
+    assert abs(value - truth) <= error + slack
+    assert error < decimal.Decimal("1e-34")
+
+
+@pytest.mark.parametrize(
+    "m, parts, twos",
+    [(5, [2, 3], 4), (300, [100, 99], 200), (4095, [512, 1536], 4095), (20000, [64, 63, 9000], 7)],
+)
+def test_ln_factorial_ratio_lies_within_its_bound(m, parts, twos):
+    value, error = exact._ln_factorial_ratio(m, parts, twos)
+    count = math.factorial(m) // product(map(math.factorial, parts)) << twos
+    truth, slack = _ln(count)
+    assert abs(value - truth) <= error + slack
+    assert error < decimal.Decimal("1e-34")
+
+
+def _sp_degrees(blocks, n):
+    # the degrees of Sp_n and of the Levi factor of the flag stabilizer
+    r = n - sum(blocks)
+    levi = [j for m in blocks for j in range(1, m + 1)] + list(range(2, 2 * r + 1, 2))
+    return list(range(2, 2 * n + 1, 2)), levi
+
+
+@pytest.mark.parametrize(
+    "blocks, n, q",
+    [((3,), 6, 2), ((10, 20), 60, 3), ((40, 50), 150, 2), ((1, 1, 1), 120, 5), ((7,), 30, 10**30 + 3)],
+)
+def test_ln_degree_ratio_lies_within_its_bound(blocks, n, q):
+    # (40, 50) at n = 150 and q = 2 puts degrees past the cutoff
+    numer, denom = _sp_degrees(blocks, n)
+    value, error = exact._ln_degree_ratio(numer, denom, q)
+    count = exact_div(product(q**a - 1 for a in numer), product(q**b - 1 for b in denom))
+    truth, slack = _ln(count)
+    assert abs(value - truth) <= error + slack
+    assert error < decimal.Decimal("1e-40")
+
+
+def test_certified_logs_ignore_the_thread_context():
+    # a thread context that traps on any rounding: arithmetic in it raises
+    numer, denom = _sp_degrees((40, 50), 150)
+    want = (
+        exact._log_from_ln(*exact._ln_factorial_ratio(20000, [64, 63, 9000], 7)),
+        exact._log_from_ln(*exact._ln_degree_ratio(numer, denom, 3)),
+    )
+    strict = decimal.Context(prec=3, traps=[decimal.Inexact, decimal.Rounded])
+    with decimal.localcontext(strict):
+        got = (
+            exact._log_from_ln(*exact._ln_factorial_ratio(20000, [64, 63, 9000], 7)),
+            exact._log_from_ln(*exact._ln_degree_ratio(numer, denom, 3)),
+        )
+    assert got == want and None not in got

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from orbit_entropy import exact, reflection
 from orbit_entropy.cli import _positive_compositions
 from orbit_entropy.dynkin import (
     Diagram,
@@ -15,7 +16,7 @@ from orbit_entropy.dynkin import (
     group_order,
     remove_nodes,
 )
-from orbit_entropy.entropy import CoarseMap, ProbVec
+from orbit_entropy.entropy import CoarseMap, ProbVec, reflective
 from orbit_entropy.exact import InexactDivisionError, IntPolynomial, exact_div, multinomial
 from orbit_entropy.reflection import (
     _index,
@@ -225,3 +226,94 @@ def test_index_rejects_bad_factor_lists():
         _index("A", 3, [("A", 4)])
     with pytest.raises(InexactDivisionError):
         _index("A", 3, [("B", 2)])
+
+
+# --- normalized_log_orbit from certified bounds -----------------------------
+
+# distributions in the manner of the benchmark's small sweep, defined at
+# every multiple of 12, and the one of its scalar-large converge op
+SWEEP = tuple(
+    ProbVec(d.split(","))
+    for d in ("1/2,1/2", "1/3,2/3", "1/4,3/4", "1/4,1/4,1/2", "1/3,1/3,1/3",
+              "1/6,1/3,1/2", "5/12,1/4,1/3")
+)
+LARGE = ProbVec(("1/8", "3/8", "1/2"))
+
+
+def _spy_on_bounds(monkeypatch):
+    # the results of exact._log_from_ln, one per count taken from bounds
+    results = []
+    log_from_ln = exact._log_from_ln
+
+    def spy(*bounds):
+        results.append(log_from_ln(*bounds))
+        return results[-1]
+
+    monkeypatch.setattr(exact, "_log_from_ln", spy)
+    return results
+
+
+@pytest.mark.parametrize(
+    "family, n, dist",
+    [(f, n, d) for f in "ABCD" for d in SWEEP for n in (48, 1536, 12288)]
+    + [("B", n, d) for d in (LARGE, ProbVec(("3/8", "1/8", "1/2"))) for n in (4096, 16384, 65536)],
+)
+def test_normalized_log_orbit_from_bounds_is_the_exact_float(family, n, dist, monkeypatch):
+    # n = 48 and 1536 give counts of at most 3,500 bits, n = 12288 of at
+    # least 9,900: both sides of the crossover
+    results = _spy_on_bounds(monkeypatch)
+    value = normalized_log_orbit(family, n, dist)
+    count = orbit_count(family, n, dist)
+    assert value == math.log(count) / n
+    if count.bit_length() > exact._LOG_BOUND_BITS + 64:
+        assert results and None not in results
+    elif count.bit_length() < exact._LOG_BOUND_BITS - 64:
+        assert results == []
+
+
+def test_normalized_log_orbit_builds_no_count_above_the_crossover(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("the index was built")
+
+    monkeypatch.setattr(reflection, "multinomial", forbidden)
+    # the last count has 1.4 million bits: no Decimal may be built of it
+    for n in (16384, 65536, 2**20):
+        assert abs(normalized_log_orbit("B", n, LARGE) - reflective(LARGE)) < 1e-3
+
+
+def test_normalized_log_orbit_falls_back_to_the_count_on_a_wide_bound(monkeypatch):
+    results = _spy_on_bounds(monkeypatch)
+    coarse = exact._LOG_CONTEXT.copy()
+    coarse.prec = 12
+    monkeypatch.setattr(exact, "_LOG_CONTEXT", coarse)
+    value = normalized_log_orbit("B", 16384, LARGE)
+    assert results == [None]
+    assert value == math.log(orbit_count("B", 16384, LARGE)) / 16384
+
+
+def _raised(call):
+    with pytest.raises(Exception) as info:
+        call()
+    return type(info.value), str(info.value)
+
+
+@pytest.mark.parametrize(
+    "n, dist",
+    [(16385, LARGE), (16380, LARGE), (2.5, LARGE), (2**14, ProbVec(("1/3", "2/3")))],
+)
+def test_bad_input_raises_alike_on_both_sides_of_the_crossover(n, dist, monkeypatch):
+    seen = {_raised(lambda: orbit_count("B", n, dist))}
+    for bits in (0, math.inf):
+        monkeypatch.setattr(exact, "_LOG_BOUND_BITS", bits)
+        seen.add(_raised(lambda: normalized_log_orbit("B", n, dist)))
+    assert len(seen) == 1
+
+
+@pytest.mark.parametrize("n", (48, 16384))
+def test_factors_that_do_not_fit_raise_alike_on_both_sides(n, monkeypatch):
+    monkeypatch.setattr(reflection, "flag_factors", lambda family, counts: [("A", sum(counts))])
+    seen = {_raised(lambda: orbit_count("B", n, LARGE))}
+    for bits in (0, math.inf):
+        monkeypatch.setattr(exact, "_LOG_BOUND_BITS", bits)
+        seen.add(_raised(lambda: normalized_log_orbit("B", n, LARGE)))
+    assert seen == {(InexactDivisionError, f"factors [('A', {n})] do not fit in B{n - 1}")}

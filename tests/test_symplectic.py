@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from orbit_entropy import exact, symplectic, verify
 from orbit_entropy.dynkin import poincare_quotient
-from orbit_entropy.entropy import CoarseMap, ProbVec
+from orbit_entropy.entropy import CoarseMap, ProbVec, symplectic_entropy
 from orbit_entropy.exact import InexactDivisionError, exact_div, q_multinomial
 from orbit_entropy.symplectic import (
     FlagType,
@@ -432,3 +432,100 @@ def test_counts_build_no_group_order(monkeypatch):
         monkeypatch.setattr(symplectic, name, forbidden)
     for count in FLAG_COUNTS.values():
         assert count(2) == count(2) > 1
+
+
+# --- normalized_logq_quotient from certified bounds -------------------------
+
+# distributions in the manner of the benchmark's small sweep, defined at
+# every multiple of 12, and the one of its scalar-large converge op
+SWEEP = tuple(
+    ProbVec(d.split(","))
+    for d in ("1/2,1/2", "1/3,2/3", "1/4,3/4", "1/4,1/4,1/2", "1/3,1/3,1/3",
+              "1/6,1/3,1/2", "5/12,1/4,1/3")
+)
+LARGE = ProbVec(("1/8", "3/8", "1/2"))
+
+
+def _spy_on_bounds(monkeypatch):
+    # the results of exact._log_from_ln, one per count taken from bounds
+    results = []
+    log_from_ln = exact._log_from_ln
+
+    def spy(*bounds):
+        results.append(log_from_ln(*bounds))
+        return results[-1]
+
+    monkeypatch.setattr(exact, "_log_from_ln", spy)
+    return results
+
+
+@pytest.mark.parametrize(
+    "n, dist, q",
+    [(n, d, q) for q in (2, 3, 5) for d in SWEEP for n in (24, 48, 192, 288)]
+    + [(n, d, 2) for d in (LARGE, ProbVec(("3/8", "1/8", "1/2"))) for n in (256, 512, 1024)],
+)
+def test_normalized_logq_quotient_from_bounds_is_the_exact_float(n, dist, q, monkeypatch):
+    # n = 24 and 48 give counts of at most 4,200 bits, n = 192 of at least
+    # 12,000: both sides of the crossover
+    results = _spy_on_bounds(monkeypatch)
+    value = normalized_logq_quotient(n, dist, q)
+    count = sp_quotient_closed(n, dist, q)
+    assert value == math.log(count) / (n * n * math.log(q))
+    if count.bit_length() > exact._LOG_BOUND_BITS + 64:
+        assert results and None not in results
+    elif count.bit_length() < exact._LOG_BOUND_BITS - 64:
+        assert results == []
+
+
+def _forbid_the_count(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("the flag count was built")
+
+    monkeypatch.setattr(symplectic, "cyclotomic_product", forbidden)
+
+
+def test_normalized_logq_quotient_builds_no_count_above_the_crossover(monkeypatch):
+    _forbid_the_count(monkeypatch)
+    limit = float(symplectic_entropy(LARGE))
+    for n in (512, 1024, 4096):
+        assert abs(normalized_logq_quotient(n, LARGE, 2) - limit) < 1e-3
+
+
+@pytest.mark.parametrize(
+    "fault", ("tail range off by one", "one exponent wrong", "a type-C degree wrong, as the proof reads it")
+)
+def test_seeded_faults_raise_above_the_crossover(fault, monkeypatch):
+    # the faults the symbolic proof catches; it runs on the path that
+    # builds no count
+    _forbid_the_count(monkeypatch)
+    module, name, wrap = FAULTS[fault]
+    monkeypatch.setattr(module, name, wrap(getattr(module, name)))
+    with pytest.raises(InexactDivisionError):
+        normalized_logq_quotient(512, LARGE, 2)
+
+
+def test_normalized_logq_quotient_falls_back_to_the_count_on_a_wide_bound(monkeypatch):
+    results = _spy_on_bounds(monkeypatch)
+    coarse = exact._LOG_CONTEXT.copy()
+    coarse.prec = 12
+    monkeypatch.setattr(exact, "_LOG_CONTEXT", coarse)
+    value = normalized_logq_quotient(256, LARGE, 3)
+    assert results == [None]
+    assert value == math.log(sp_quotient_closed(256, LARGE, 3)) / (256 * 256 * math.log(3))
+
+
+@pytest.mark.parametrize(
+    "n, dist, q",
+    [(1001, LARGE, 2), (1020, LARGE, 2), (2.5, LARGE, 2), (1024, LARGE, 1), (1024, LARGE, 2.5)],
+)
+def test_bad_input_raises_alike_on_both_sides_of_the_crossover(n, dist, q, monkeypatch):
+    def raised(call):
+        with pytest.raises(Exception) as info:
+            call()
+        return type(info.value), str(info.value)
+
+    seen = {raised(lambda: sp_quotient_closed(n, dist, q))}
+    for bits in (0, math.inf):
+        monkeypatch.setattr(exact, "_LOG_BOUND_BITS", bits)
+        seen.add(raised(lambda: normalized_logq_quotient(n, dist, q)))
+    assert len(seen) == 1

@@ -64,20 +64,18 @@ def _parse_dist(text: str) -> ProbVec:
         tok = tok.strip()
         if not tok:
             raise CliParseError("empty entry in distribution")
-        try:
-            entry = Fraction(tok)
-        except (ValueError, ZeroDivisionError) as exc:
-            if "." not in tok:
+        # Fraction also reads decimal and exponent notation (0.1, 1e-1): a
+        # token with '.' is refused unread, one with 'e' or 'E' once read
+        if "." not in tok:
+            try:
+                entries.append(Fraction(tok))
+            except (ValueError, ZeroDivisionError) as exc:
                 raise CliParseError(f"cannot parse probability {tok!r}: {exc}")
-            entry = None
-        # Fraction also reads decimal and exponent notation (0.1, 1e-1); a
-        # token it reads is in one of them exactly when it has '.', 'e' or 'E'
         if "." in tok or "e" in tok.lower():
             raise CliParseError(
                 f"decimal probability {tok!r} not accepted; "
                 "write exact fractions like 1/3"
             )
-        entries.append(entry)
     try:
         return ProbVec(entries)
     except ValueError as exc:
@@ -205,8 +203,6 @@ def _emit(records: list[dict], fmt: str) -> None:
     if fmt == "json":
         for rec in records:
             sys.stdout.write(json.dumps(rec) + "\n")
-        return
-    if not records:
         return
     import csv  # only --format csv needs it; kept off the start-up path
 
@@ -524,20 +520,18 @@ def _unlimited_int_digits() -> Iterator[None]:
         set_digits(saved)
 
 
+# the exit code of each error a command may raise, a subclass before its base
+_EXIT_CODES = ((CliParseError, 2), (ValueError, 3), (InexactDivisionError, 1))
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     with _unlimited_int_digits():
         try:
             records, code = _DISPATCH[args.command](args)
-        except CliParseError as exc:
+        except tuple(kind for kind, _ in _EXIT_CODES) as exc:
             print(f"error: {exc}", file=sys.stderr)
-            return 2
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 3
-        except InexactDivisionError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
+            return next(code for kind, code in _EXIT_CODES if isinstance(exc, kind))
         try:
             _emit(records, args.format)
             sys.stdout.flush()

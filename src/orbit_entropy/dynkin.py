@@ -19,7 +19,7 @@ from collections.abc import Iterable, Sequence
 from functools import lru_cache
 
 from .entropy import ProbVec
-from .exact import InexactDivisionError, IntPolynomial, Record, _integral, exact_div
+from .exact import InexactDivisionError, IntPolynomial, Record, _integral, _unpack, exact_div
 
 __all__ = [
     "FAMILIES",
@@ -63,19 +63,24 @@ def _check_rank(family: str, rank: int) -> int:
     return rank
 
 
+def _check_removal(rank: int, removed: Iterable[int]) -> set[int]:
+    # the removed nodes as a set of ints, each in 1..rank and named once
+    nodes = sorted(_integral(removed, "removed nodes"))
+    for r in nodes:
+        if not 1 <= r <= rank:
+            raise ValueError(f"node {r} outside 1..{rank}")
+    if len(set(nodes)) != len(nodes):
+        raise ValueError("removal set has repeated nodes")
+    return set(nodes)
+
+
 def surviving_components(
     diagram: Diagram, removed: Iterable[int]
 ) -> list[tuple[tuple[int, ...], str]]:
     """Connected components of the surviving nodes, ordered by lowest
     index, each labeled with the family of the group it generates."""
     family, m = diagram.family, diagram.rank
-    rm = sorted(_integral(removed, "removed nodes"))
-    for r in rm:
-        if not 1 <= r <= m:
-            raise ValueError(f"node {r} outside 1..{m}")
-    dead = set(rm)
-    if len(dead) != len(rm):
-        raise ValueError("removal set has repeated nodes")
+    dead = _check_removal(m, removed)
     # every node but the first has one edge to a lower node, its parent:
     # v - 1, except D's tip m, whose parent is m - 2; so one ascending pass
     # gives each surviving node the lowest node of its component as root
@@ -196,11 +201,7 @@ def _bracket_quotient(numer: Sequence[int], denom: Sequence[int]) -> IntPolynomi
             step *= 2
     if series >> slot * (degree + 1):
         raise InexactDivisionError("bracket quotient is not a polynomial")
-    raw = series.to_bytes(width * (reach + 1), "little")
-    coeffs = [
-        int.from_bytes(raw[i : i + width], "little")
-        for i in range(0, width * (degree + 1), width)
-    ]
+    coeffs = _unpack(series, width, degree + 1)
     bottom_value = math.prod(b**k for b, k in bottoms.items())
     if coeffs != coeffs[::-1] or sum(coeffs) != exact_div(top_value, bottom_value):
         raise InexactDivisionError("nonzero remainder in bracket division")

@@ -100,11 +100,16 @@ def _integral(values: Iterable[object], what: str) -> tuple[int, ...]:
     return ints
 
 
-def _check_parts(n: int, parts: Sequence[int]) -> tuple[int, tuple[int, ...]]:
-    # n and the parts as ints: integral, nonnegative parts that sum to n
+def _nonnegative_parts(parts: Sequence[int]) -> tuple[int, ...]:
     parts = _integral(parts, "parts")
     if any(p < 0 for p in parts):
         raise ValueError("parts must be nonnegative")
+    return parts
+
+
+def _check_parts(n: int, parts: Sequence[int]) -> tuple[int, tuple[int, ...]]:
+    # n and the parts as ints: integral, nonnegative parts that sum to n
+    parts = _nonnegative_parts(parts)
     if sum(parts) != n:
         raise ValueError(f"parts {list(parts)} do not sum to n={n}")
     return sum(parts), parts
@@ -164,14 +169,23 @@ def _cyclotomic_values(m: int, q: int) -> list[int]:
 def q_multinomial_exponents(n: int, parts: Sequence[int]) -> list[int]:
     """Exponent e_d of Phi_d(q) in the q-multinomial of the parts, at index
     d for 0 <= d <= n: e_0 = 0 and e_d = floor(n/d) - sum floor(p/d)
-    (Knuth and Wilf, 1989), which is 0 at d = 1 when the parts sum to n."""
+    (Knuth and Wilf, 1989), which is 0 at d = 1 when the parts sum to n.
+    n and the parts must be integers and the parts nonnegative; their sum
+    is free."""
+    (n,) = _integral((n,), "lengths")
+    parts = _nonnegative_parts(parts)
     return [0] + [n // d - sum(p // d for p in parts) for d in range(1, n + 1)]
 
 
 def cyclotomic_product(exponents: Sequence[int], q: int) -> int:
     """Product of Phi_d(q)^{e_d} with e_d = exponents[d], over one table of
-    Phi_d(q) for d < len(exponents).  A negative e_d would make the product
-    no polynomial in q and raises InexactDivisionError."""
+    Phi_d(q) for d < len(exponents).  The exponents and q must be
+    integers, q >= 2.  A negative e_d would make the product no polynomial
+    in q and raises InexactDivisionError."""
+    exponents = _integral(exponents, "exponents")
+    (q,) = _integral((q,), "field sizes")
+    if q < 2:
+        raise ValueError("q must be at least 2")
     negative = [d for d, e in enumerate(exponents) if e < 0]
     if negative:
         raise InexactDivisionError(f"Phi_{negative[0]}(q) has a negative exponent")
@@ -190,9 +204,6 @@ def q_multinomial(n: int, parts: Sequence[int], q: int) -> int:
     parts summing to n none is.
     """
     n, parts = _check_parts(n, parts)
-    (q,) = _integral((q,), "field sizes")
-    if q < 2:
-        raise ValueError("q must be at least 2")
     return cyclotomic_product(q_multinomial_exponents(n, parts), q)
 
 
@@ -257,12 +268,7 @@ class IntPolynomial(Record):
         size = len(a) + len(b) - 1
         offset = int.from_bytes((bytes(width - 1) + b"\x80") * size, "little")
         packed = _pack(a, width) * _pack(b, width) + offset
-        raw = packed.to_bytes(size * width, "little")
-        half = 1 << (8 * width - 1)
-        return IntPolynomial(
-            int.from_bytes(raw[i : i + width], "little") - half
-            for i in range(0, size * width, width)
-        )
+        return IntPolynomial(_unpack(packed, width, size, 1 << (8 * width - 1)))
 
     def __call__(self, x: int) -> int:
         # divide and conquer: pair neighbours as c_i + x^h c_{i+1}, h = 1, 2,
@@ -286,6 +292,13 @@ def _pack(coeffs: Sequence[int], width: int) -> int:
         return int.from_bytes(b"".join(c.to_bytes(width, "little") for c in cs), "little")
 
     return join(max(c, 0) for c in coeffs) - join(max(-c, 0) for c in coeffs)
+
+
+def _unpack(packed: int, width: int, count: int, offset: int = 0) -> list[int]:
+    # the count width-byte little-endian slots packed fills, each less offset
+    raw = packed.to_bytes(count * width, "little")
+    slots = range(0, len(raw), width)
+    return [int.from_bytes(raw[i : i + width], "little") - offset for i in slots]
 
 
 # The one context of the certified logarithms below.  ln, exp and the

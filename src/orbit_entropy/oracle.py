@@ -10,7 +10,9 @@ depth-first builder; Sp_2n is cached, enumerated once per (n, q).
 
 Nothing here reuses the closed forms it exists to validate; the only
 closed-form imports are the expected sizes used as closure caps and the
-reference values packed into the orbit report.
+reference values packed into the orbit report. A removal list passes
+dynkin's input check, ``_check_removal``, so the census and the closed
+forms refuse the same lists with the same messages.
 
 Hard caps (word length 10, rank 4, half-dimension 2, prime fields F_2
 and F_3) are constants; exceeding one is an error, not a best-effort
@@ -23,7 +25,7 @@ import functools
 import itertools
 from collections.abc import Callable, Iterable, Iterator, Sequence
 
-from .dynkin import group_order
+from .dynkin import _check_removal, group_order
 from .exact import InexactDivisionError, IntPolynomial, Record, _integral
 from .symplectic import ig_count, sp_order
 from .verify import _flag_stabilizer_order, _order
@@ -199,12 +201,7 @@ def parabolic_length_census(
     that survive the removal; lengths stay ambient."""
     (rank,) = _integral((rank,), "ranks")
     npos, reflections = _root_system(family, rank)
-    removed = sorted(_integral(removal, "removed nodes"))
-    for r in removed:
-        if not 1 <= r <= rank:
-            raise ValueError(f"node {r} outside 1..{rank}")
-    if len(set(removed)) != len(removed):
-        raise ValueError("removal set has repeated nodes")
+    removed = _check_removal(rank, removal)
     gens = [s for i, s in enumerate(reflections, start=1) if i not in removed]
     elements = _close_group(gens, npos, group_order(family, rank))
     return _census(elements, npos)
@@ -228,9 +225,6 @@ def _omega(u: Sequence[int], v: Sequence[int], q: int) -> int:
 
 def _rref_bases(s: int, dim: int, q: int):
     # canonical reduced echelon bases: one per s-dimensional subspace
-    if s == 0:
-        yield ()
-        return
     for pivots in itertools.combinations(range(dim), s):
         pivot_set = set(pivots)
         free = [

@@ -79,18 +79,13 @@ def _flag_count(blocks: Sequence[int], n: int, q: int) -> int:
 
 
 def _log_flag_count(blocks: Sequence[int], n: int, q: int) -> float:
-    # math.log(_flag_count(blocks, n, q)).  From exact._LOG_BOUND_BITS on,
-    # the exponent vector is still proved against the degree lists, and the
-    # log is bounded over those lists; only the product and its residue
-    # check are skipped.
-    stabilizer, group = _flag_stabilizer_order(blocks, n), _symplectic_order(n)
-    levi, degrees = stabilizer[1], group[1]
-
-    def ln_count():
-        check_flag_exponents(_flag_exponents(blocks, n), stabilizer, group)
-        return _ln_degree_ratio(degrees, levi, q)
-
+    # math.log(_flag_count(blocks, n, q)).  The exponent vector is proved
+    # against the degree lists first, on both paths.  From
+    # exact._LOG_BOUND_BITS on, the log is bounded over those lists; only
+    # the product and its residue check are skipped.
+    (_, levi), (_, degrees) = check_flag_exponents(blocks, n, _flag_exponents(blocks, n))
     bits = (sum(degrees) - sum(levi)) * math.log2(q)
+    ln_count = partial(_ln_degree_ratio, degrees, levi, q)
     return _log_count(bits, ln_count, partial(_flag_count, blocks, n, q))
 
 
@@ -173,13 +168,13 @@ def normalized_logq_quotient(n: int, dist: ProbVec, q: int) -> float:
     bit for bit; growth is superexponential, rate n^2, hence the
     normalization.
 
-    From an estimated exact._LOG_BOUND_BITS bits on, the count is not built.
-    Its exponent vector is still proved against the degree lists of Sp_n
-    and of the Levi factor (verify's step 1), and the log comes from a
-    certified bound on D ln q + sum ln(1 - q^-a) - sum ln(1 - q^-b) over
-    those lists, in 60-digit decimal arithmetic.  The float is the one
-    math.log returns for the count, or the count is built when the bound
-    cannot fix it.
+    The count's exponent vector is first proved against the degree lists
+    of Sp_n and of the Levi factor (verify's step 1).  From an estimated
+    exact._LOG_BOUND_BITS bits on, the count is not built: the log comes
+    from a certified bound on D ln q + sum ln(1 - q^-a) - sum ln(1 - q^-b)
+    over those lists, in 60-digit decimal arithmetic.  The float is the
+    one math.log returns for the count, or the count is built when the
+    bound cannot fix it.
     """
     q, n = _check_q(q, n)
     return _log_flag_count(dist.scaled_counts(n)[:-1], n, q) / (n * n * math.log(q))

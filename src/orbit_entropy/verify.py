@@ -24,9 +24,9 @@ big integer only in the fallback of step 2:
    0 mod p says nothing about the count and is skipped; with fewer than
    two primes left, the exact big-integer equality runs instead.
 
-``normalized_logq_quotient`` runs step 1 alone, through
-``check_flag_exponents``, when it takes the log of a count from bounds
-over these degree lists without building the count.
+Step 1 is ``check_flag_exponents``, which returns both orders.
+``normalized_logq_quotient`` runs it first on both of its paths, and
+again through ``check_flag_count`` on the one that builds the count.
 
 The flag-count identity count = ig_count(s) * q_multinomial(s, m), with
 s = sum m, written through group orders, is this factorization for the
@@ -74,10 +74,12 @@ def _flag_stabilizer_order(blocks: Sequence[int], n: int) -> GroupOrder:
 
 
 def check_flag_exponents(
-    exponents: Sequence[int], stabilizer: GroupOrder, group: GroupOrder
-) -> None:
+    blocks: Sequence[int], n: int, exponents: Sequence[int]
+) -> tuple[GroupOrder, GroupOrder]:
     """Step 1 alone, the symbolic proof that the product of
-    Phi_d(q)^{exponents[d]} is |group| / |stabilizer| as polynomials in q."""
+    Phi_d(q)^{exponents[d]} is |Sp_n| / |P| as polynomials in q, for the P
+    fixing a flag with increments ``blocks``; returns the orders (|P|, |Sp_n|)."""
+    stabilizer, group = _flag_stabilizer_order(blocks, n), _symplectic_order(n)
     (a, js), (b, ks) = stabilizer, group
     net = [0] * (max(ks, default=0) + 1)
     for k in ks:
@@ -88,6 +90,7 @@ def check_flag_exponents(
         raise InexactDivisionError(
             "flag count exponents fail the stabilizer factorization"
         )
+    return stabilizer, group
 
 
 def _order_mod(order: GroupOrder, q: int, p: int) -> int:
@@ -112,8 +115,7 @@ def check_flag_count(
     """Check that ``value``, the product of Phi_d(q)^{exponents[d]} with
     len(exponents) = 2n + 1, is the number of isotropic flags with
     increments ``blocks`` in a 2n-dimensional symplectic space over F_q."""
-    stabilizer, group = _flag_stabilizer_order(blocks, n), _symplectic_order(n)
-    check_flag_exponents(exponents, stabilizer, group)
+    stabilizer, group = check_flag_exponents(blocks, n, exponents)
     residues = [(p, m) for p in PRIMES if (m := _order_mod(stabilizer, q, p))]
     if len(residues) >= 2:
         holds = all(value % p * m % p == _order_mod(group, q, p) for p, m in residues)

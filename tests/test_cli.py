@@ -220,6 +220,20 @@ def test_unparseable_probability_is_named(capsys):
     )
 
 
+@pytest.mark.parametrize(
+    "token,message",
+    [
+        # '.' refuses a token unread; 'e' only a token Fraction reads
+        ("1.x", "decimal probability '1.x' not accepted; write exact fractions like 1/3"),
+        ("1e", "cannot parse probability '1e': Invalid literal for Fraction: '1e'"),
+        ("1e-1", "decimal probability '1e-1' not accepted; write exact fractions like 1/3"),
+    ],
+)
+def test_probability_token_messages(token, message, capsys):
+    code, out, err = run_cli(["entropy", "--dist", f"1/2,{token}"], capsys)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_non_integral_split_is_a_domain_error(capsys):
     code, out, err = run_cli(
         ["count", "reflection", "--family", "B", "--n", "5", "--dist", "1/2,1/2"],

@@ -22,6 +22,7 @@ from orbit_entropy.exact import (
     product,
     q_factorial,
     q_multinomial,
+    q_multinomial_exponents,
 )
 
 
@@ -198,6 +199,15 @@ def test_polynomial_product_edge_cases():
     assert (-q * q).coeffs == tuple(-c for c in (q * q).coeffs)
 
 
+def test_unpack_reads_back_the_packed_slots():
+    coeffs = [5, 0, 255, 17]
+    assert exact._unpack(exact._pack(coeffs, 1), 1, 4) == coeffs
+    # signed coefficients, each slot offset by half its range
+    signed, half = [-3, 7, 0, -128], 1 << 15
+    packed = exact._pack(signed, 2) + int.from_bytes(half.to_bytes(2, "little") * 4, "little")
+    assert exact._unpack(packed, 2, 4, half) == signed
+
+
 def test_product_is_the_left_to_right_product():
     assert product([]) == 1
     assert product([7]) == 7
@@ -271,6 +281,66 @@ def test_q_multinomial_rejects_bad_input():
         q_multinomial(2, (3, -1), 2)
     with pytest.raises(ValueError):
         q_multinomial(2, (1, 1), 1)
+
+
+@pytest.mark.parametrize(
+    "exponents,q,message",
+    [
+        ([0, 1], 1, "q must be at least 2"),
+        ([0, 1, 1], 0, "q must be at least 2"),
+        ([0, 1], -2, "q must be at least 2"),
+        ([0, 1], 2.5, "field sizes must be integers"),
+        ([0, 0, 1.5], 2, "exponents must be integers"),
+    ],
+)
+def test_cyclotomic_product_rejects_bad_input(exponents, q, message):
+    # once 0, 1, -1, a misleading InexactDivisionError or a float
+    with pytest.raises(ValueError) as exc:
+        cyclotomic_product(exponents, q)
+    assert str(exc.value) == message
+
+
+def test_cyclotomic_product_takes_integral_input_as_ints():
+    value = cyclotomic_product([0, 0, 2.0], 2)
+    assert value == 9 and type(value) is int
+    assert cyclotomic_product((0, True, 1), 3.0) == 2 * 4
+
+
+@pytest.mark.parametrize(
+    "n,parts,message",
+    [
+        (3, [1, 2.5], "parts must be integers"),
+        (3.5, [1, 2], "lengths must be integers"),
+        (3, [-1, 4], "parts must be nonnegative"),
+    ],
+)
+def test_q_multinomial_exponents_rejects_bad_input(n, parts, message):
+    with pytest.raises(ValueError) as exc:
+        q_multinomial_exponents(n, parts)
+    assert str(exc.value) == message
+
+
+def test_q_multinomial_exponents_leave_the_sum_free():
+    # floor(4/d) - floor(1/d) - floor(2/d) is 1 at each d from 1 to 4
+    assert q_multinomial_exponents(4, (1, 2)) == [0, 1, 1, 1, 1]
+    assert q_multinomial_exponents(4.0, (1.0, True)) == q_multinomial_exponents(4, (1, 1))
+    assert all(type(e) is int for e in q_multinomial_exponents(4.0, (2.0, 2)))
+
+
+@pytest.mark.parametrize(
+    "n,parts,q,message",
+    [
+        # the parts are checked first, then q
+        (3, (1, 1), 1, "parts [1, 1] do not sum to n=3"),
+        (2, (3, -1), 2.5, "parts must be nonnegative"),
+        (2, (1, 1), 1, "q must be at least 2"),
+        (2, (1, 1), 2.5, "field sizes must be integers"),
+    ],
+)
+def test_q_multinomial_messages(n, parts, q, message):
+    with pytest.raises(ValueError) as exc:
+        q_multinomial(n, parts, q)
+    assert str(exc.value) == message
 
 
 # --- math.log of a count from certified bounds on its natural log ---------

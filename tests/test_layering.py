@@ -1,6 +1,7 @@
 """The package's modules import one another in one direction only: each
 imports only modules earlier in LAYERS, also in its lazy imports inside
-functions, so no import cycle can form."""
+functions, so no import cycle can form.  Every private function of the
+package is called from the package."""
 
 import ast
 from pathlib import Path
@@ -50,3 +51,30 @@ def test_imports_point_to_earlier_layers(name):
     earlier = set(LAYERS[: LAYERS.index(name)])
     imported = _package_imports(PACKAGE / f"{name}.py")
     assert imported <= earlier, sorted(imported - earlier)
+
+
+def _private_functions(tree):
+    # names of the module-level and class-level functions that start with
+    # one underscore
+    scopes = [tree] + [n for n in tree.body if isinstance(n, ast.ClassDef)]
+    return {
+        node.name
+        for scope in scopes
+        for node in scope.body
+        if isinstance(node, ast.FunctionDef)
+        and node.name.startswith("_")
+        and not node.name.startswith("__")
+    }
+
+
+def test_every_private_function_has_a_caller_in_the_package():
+    # a helper that only tests use is dead code
+    trees = [ast.parse(p.read_text()) for p in sorted(PACKAGE.glob("*.py"))]
+    used = {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    }
+    defined = set().union(*map(_private_functions, trees))
+    assert defined <= used, sorted(defined - used)

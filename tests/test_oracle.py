@@ -164,10 +164,21 @@ def test_oracle_rejects_fractional_inputs():
         (lambda: oracle.enumerate_isotropic_subspaces(1, 2, 2.5), "n and q must be integers"),
         (lambda: oracle.enumerate_symplectic_group(1, 2.5), "n and q must be integers"),
         (lambda: oracle.stabilizer_and_orbit_check(0.5, 1, 2), "s, n and q must be integers"),
+        # the other input rules of the same gates
+        (lambda: oracle.count_type_class(2, (3, -1)), "symbol counts must be nonnegative"),
+        (lambda: oracle.count_type_class(2, (1, 2)),
+         "symbol counts must sum to the word length"),
+        (lambda: oracle.reflection_length_census("D", 1), "family D requires rank >= 2"),
+        (lambda: oracle.enumerate_isotropic_subspaces(2, 1, 2), "need 0 <= s <= n"),
+        (lambda: oracle.enumerate_isotropic_flags((1, 0), 2, 2), "increments must be positive"),
+        (lambda: oracle.enumerate_isotropic_flags((1, 2), 2, 2),
+         "total dimension cannot exceed n"),
+        (lambda: oracle.parabolic_length_census("A", 3, [4]), "node 4 outside 1..3"),
     ],
 )
 def test_oracle_rejects_fractional_scalars(call, message):
-    # each once raised TypeError from inside range or itertools
+    # the fractional scalars each once raised TypeError from inside range
+    # or itertools
     with pytest.raises(ValueError) as exc:
         call()
     assert str(exc.value) == message
@@ -359,6 +370,7 @@ def test_oracle_verify_closes_each_root_system_once(monkeypatch, capsys):
 
 ORACLE_PACKAGE_IMPORTS = {
     "group_order",
+    "_check_removal",
     "ig_count",
     "sp_order",
     "_flag_stabilizer_order",

@@ -13,7 +13,7 @@ import pytest
 
 import orbit_entropy
 from orbit_entropy.dynkin import Diagram, remove_nodes
-from orbit_entropy.entropy import CoarseMap, ProbVec
+from orbit_entropy.entropy import CoarseMap, ProbVec, conditional, pushforward
 from orbit_entropy.exact import IntPolynomial, Record
 from orbit_entropy.oracle import OrbitStabilizerReport
 from orbit_entropy.report import IdentityReport
@@ -236,7 +236,9 @@ def test_integral_sizes_of_other_types_coerce():
 
 
 # scalar sizes and field sizes follow the rule of the sequences: the gate
-# each already passes takes True and 2.0 as ints and rejects 2.5
+# each already passes takes True and 2.0 as ints and rejects 2.5.  The
+# table's last rows check the other input rules: sizes out of range and a
+# coarse map of the wrong size.
 HALF = ProbVec(("1/2", "1/2"))
 
 
@@ -263,6 +265,15 @@ HALF = ProbVec(("1/2", "1/2"))
          "ranks must be integers"),
         (lambda: orbit_entropy.orbit_count("B", 4.5, HALF), "lengths must be integers"),
         (lambda: HALF.scaled_counts(Fraction(9, 2)), "lengths must be integers"),
+        (lambda: pushforward(HALF, CoarseMap((1, 2))),
+         "coarse map covers 3 entries, vector has 2"),
+        (lambda: conditional(HALF, CoarseMap((1, 2)), 1),
+         "coarse map covers 3 entries, vector has 2"),
+        (lambda: orbit_entropy.q_factorial(-1, 2), "q_factorial requires k >= 0"),
+        (lambda: orbit_entropy.q_factorial(2, 1), "q must be at least 2"),
+        (lambda: orbit_entropy.gl_order(-1, 2), "m must be nonnegative"),
+        (lambda: orbit_entropy.sp_order(-1, 2), "n must be nonnegative"),
+        (lambda: orbit_entropy.unipotent_radical_order(3, 2, 2), "need 0 <= s <= n"),
     ],
 )
 def test_non_integral_scalars_are_rejected(build, message):

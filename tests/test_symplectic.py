@@ -504,6 +504,34 @@ def test_seeded_faults_raise_above_the_crossover(fault, monkeypatch):
         normalized_logq_quotient(512, LARGE, 2)
 
 
+@pytest.mark.parametrize("bits", (0, math.inf))
+def test_normalized_logq_quotient_proves_the_exponents_first(bits, monkeypatch):
+    # on the bound path the proof is the whole check; on the count path it
+    # runs before the product, which check_flag_count then proves again
+    calls = []
+
+    def spy(name, original):
+        def wrapped(*args):
+            calls.append(name)
+            return original(*args)
+
+        return wrapped
+
+    monkeypatch.setattr(exact, "_LOG_BOUND_BITS", bits)
+    for name in ("check_flag_exponents", "cyclotomic_product"):
+        monkeypatch.setattr(symplectic, name, spy(name, getattr(symplectic, name)))
+    normalized_logq_quotient(256, LARGE, 2)
+    want = ["check_flag_exponents"] + ["cyclotomic_product"] * (bits == math.inf)
+    assert calls == want
+
+
+def test_check_flag_exponents_returns_the_orders_it_proves():
+    blocks, n = (1, 2), 6
+    exponents = symplectic._flag_exponents(blocks, n)
+    orders = verify.check_flag_exponents(blocks, n, exponents)
+    assert orders == (verify._flag_stabilizer_order(blocks, n), verify._symplectic_order(n))
+
+
 def test_normalized_logq_quotient_falls_back_to_the_count_on_a_wide_bound(monkeypatch):
     results = _spy_on_bounds(monkeypatch)
     coarse = exact._LOG_CONTEXT.copy()

@@ -342,7 +342,9 @@ def _cmd_chain_check(args: argparse.Namespace) -> tuple[list[dict], int]:
             report = check(args.family, args.n, dist, cmap)
         fmt = _poly_str if poincare else _int_str
         ok = report.holds
-        rec.update(lhs=fmt(report.lhs), rhs=fmt(report.rhs), residual=fmt(report.residual))
+        lhs = fmt(report.lhs)
+        # a held identity has rhs == lhs, so its text is formatted once
+        rec.update(lhs=lhs, rhs=lhs if ok else fmt(report.rhs), residual=fmt(report.residual))
     rec["holds"] = ok
     return [rec], 0 if ok else 1
 

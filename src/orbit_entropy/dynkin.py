@@ -136,22 +136,26 @@ def _bracket_quotient(numer: Sequence[int], denom: Sequence[int]) -> IntPolynomi
 
     After cancelling shared sizes, C / P is the power series
     prod (1 - t^a) / prod (1 - t^b) * (1 - t)^{#b - #a}, carried to degree
-    M in one int whose w-byte slot i holds coefficient i.  A divisor
-    1 - t^b paired with a factor 1 - t^a, b | a, leaves the polynomial
-    1 + t^b + ... + t^{a-b}, multiplied in by shifts and additions.  The
-    pairs go first, so the int grows from one slot rather than starting at
-    full length.  A factor 1 - t^a left over is then a shift and a
-    subtraction; a divisor 1 - t^b left over multiplies by the factors
-    1 + t^{b 2^i} with b 2^i <= M.
+    M = floor(deg C / 2) in one int whose w-byte slot i holds coefficient
+    i.  A divisor 1 - t^b paired with a factor 1 - t^a, b | a, leaves the
+    polynomial 1 + t^b + ... + t^{a-b}, multiplied in by shifts and
+    additions.  The pairs go first, so the int grows from one slot rather
+    than starting at full length.  A factor 1 - t^a left over is then a
+    shift and a subtraction; a divisor 1 - t^b left over multiplies by the
+    factors 1 + t^{b 2^i} with b 2^i <= M.
 
-    With 2^{8w} > C(1), every coefficient of Q * P and of C lies in
-    [0, C(1)], so slot arithmetic modulo t^{M+1} settles their
-    coefficients 0..M exactly.  Hence a result Q with no terms above
-    D = deg C - deg P, palindromic (so of degree exactly D, since its
-    constant term is 1), with Q(1) = C(1) / P(1) and M >= deg C / 2
-    satisfies Q * P = C: both sides are palindromic of degree deg C.  Any
-    other result raises InexactDivisionError; so does an exact quotient
-    with a negative coefficient, which no parabolic quotient has.
+    The result Q has slots 0..min(M, D) as its coefficients, with
+    D = deg C - deg P, and coefficient i > M equal to slot D - i, the
+    value palindromy gives it.  With 2^{8w} > C(1), a Q with
+    nonnegative coefficients and Q(1) = C(1) / P(1) makes every
+    coefficient of Q * P and of C lie in [0, C(1)], so slot arithmetic
+    modulo t^{M+1} settles their coefficients 0..M exactly.  Hence a Q
+    with no slots above D, palindromic of degree D (which compares the
+    overlap D - M..M when D > M) and with Q(1) = C(1) / P(1) satisfies
+    Q * P = C: both sides are palindromic of degree deg C and agree up to
+    degree floor(deg C / 2).  Any other result raises
+    InexactDivisionError; so does an exact quotient with a negative
+    coefficient, which no parabolic quotient has.
     """
     tops = Counter(a for a in numer if a > 1)
     bottoms = Counter(b for b in denom if b > 1)
@@ -164,7 +168,7 @@ def _bracket_quotient(numer: Sequence[int], denom: Sequence[int]) -> IntPolynomi
     top_value = math.prod(a**k for a, k in tops.items())
     width = (top_value.bit_length() + 7) // 8
     slot = 8 * width
-    reach = max(degree, top_degree // 2)
+    reach = top_degree // 2
     mask = (1 << slot * (reach + 1)) - 1
     # (1 - t)^{#b - #a} enters as extra factors of size 1
     excess = tops.total() - bottoms.total()
@@ -201,7 +205,9 @@ def _bracket_quotient(numer: Sequence[int], denom: Sequence[int]) -> IntPolynomi
             step *= 2
     if series >> slot * (degree + 1):
         raise InexactDivisionError("bracket quotient is not a polynomial")
-    coeffs = _unpack(series, width, degree + 1)
+    kept = min(reach, degree) + 1
+    coeffs = _unpack(series, width, kept)
+    coeffs += coeffs[: degree + 1 - kept][::-1]
     bottom_value = math.prod(b**k for b, k in bottoms.items())
     if coeffs != coeffs[::-1] or sum(coeffs) != exact_div(top_value, bottom_value):
         raise InexactDivisionError("nonzero remainder in bracket division")

@@ -386,9 +386,9 @@ def stabilizer_and_orbit_check(s: int, n: int, q: int = 2) -> OrbitStabilizerRep
     spanned by the first s basis vectors and compares the orbit size with
     ig_count and the stabilizer size with the |P| its proof uses."""
     s, n, q = _integral((s, n, q), "s, n and q")
-    group = _symplectic_elements(n, q)
     if not 0 <= s <= n:
         raise ValueError("need 0 <= s <= n")
+    group = _symplectic_elements(n, q)
     dim = 2 * n
     base = _span(tuple(_root(dim, i) for i in range(s)), dim, q)
     orbit = set()

@@ -3,6 +3,8 @@ and the length generating polynomials."""
 
 import itertools
 import math
+import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -462,3 +464,52 @@ def test_non_divisible_quotient_raises(family, rank, factors):
 def test_every_end_check_is_needed(numer, denom):
     with pytest.raises(InexactDivisionError):
         _bracket_quotient(numer, denom)
+
+
+@pytest.mark.parametrize(
+    "numer,denom",
+    [
+        # D > deg C / 2 and C(1) / P(1) = sum of the slots with their
+        # mirrors; only the overlap D - M..M, M = deg C // 2, is not
+        # palindromic.  deg C is 14 (M = 7, D = 9) and 15 (M = 7, D = 9).
+        ((10, 6), (4, 3)),
+        ((9, 8), (2, 6)),
+    ],
+)
+def test_the_mirrored_overlap_is_checked(numer, denom):
+    with pytest.raises(InexactDivisionError, match="nonzero remainder"):
+        _bracket_quotient(numer, denom)
+
+
+def _ref_bracket_quotient(numer, denom):
+    # C / P one bracket at a time, or None where a division leaves a
+    # remainder
+    coeffs = [1]
+    for a in numer:
+        coeffs = _ref_times_bracket(coeffs, a)
+    try:
+        for b in denom:
+            coeffs = _ref_div_bracket(coeffs, b)
+    except InexactDivisionError:
+        return None
+    return coeffs
+
+
+def test_half_degree_quotient_matches_bracket_division():
+    # the series is carried to deg C // 2 only; every shape of
+    # (deg C odd or even, D above or at most deg C // 2) must agree with
+    # the division, and a remainder or a negative coefficient must raise
+    rng = random.Random(19)
+    shapes = Counter()
+    for _ in range(4000):
+        numer = [rng.randint(1, 12) for _ in range(rng.randint(1, 6))]
+        denom = [rng.randint(1, 12) for _ in range(rng.randint(0, 5))]
+        want = _ref_bracket_quotient(numer, denom)
+        if want is None or min(want) < 0:
+            with pytest.raises(InexactDivisionError):
+                _bracket_quotient(numer, denom)
+            continue
+        assert _bracket_quotient(numer, denom) == IntPolynomial(want)
+        top = sum(a - 1 for a in numer)
+        shapes[top % 2, len(want) - 1 > top // 2] += 1
+    assert len(shapes) == 4 and min(shapes.values()) >= 20, shapes

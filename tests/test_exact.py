@@ -208,6 +208,99 @@ def test_unpack_reads_back_the_packed_slots():
     assert exact._unpack(packed, 2, 4, half) == signed
 
 
+def test_unpack_reads_back_the_digit_fields():
+    coeffs = [5, 0, 999, 17]
+    assert exact._unpack(exact._pack(coeffs, 3, True), 3, 4) == coeffs
+    # signed coefficients, each field offset by half its range
+    signed, half = [-3, 7, 0, -500], 500
+    packed = exact._pack(signed, 3, True) + decimal.Decimal("500" * 4)
+    assert exact._unpack(packed, 3, 4, half) == signed
+
+
+def _signed(rng, count, bits):
+    return [rng.choice((-1, 1)) * rng.getrandbits(bits) for _ in range(count)]
+
+
+def _mul_shapes(side):
+    # factor pairs whose shorter factor is below the Decimal crossover
+    # (side 0) or above it (side 1), at most _DECIMAL_SLOT_BITS wide
+    rng = random.Random(side)
+
+    def bits(below, above):
+        return (below, above)[side]
+
+    wide, narrow, lopsided = bits(50, 150), bits(40, 200), bits(25, 40)
+    return {
+        "signed": (_signed(rng, 400, wide), _signed(rng, 300, wide)),
+        "zero interior": (
+            [rng.getrandbits(narrow)] + [0] * 198 + [-rng.getrandbits(narrow)],
+            _signed(rng, 150, narrow) + [0] * 200 + _signed(rng, 150, narrow),
+        ),
+        "lopsided": (_signed(rng, 10_000, lopsided), _signed(rng, 1_000, lopsided)),
+        "single": ([-rng.getrandbits(50)], _signed(rng, 700, 1_000)),
+    }
+
+
+@pytest.mark.parametrize("side", (0, 1))
+@pytest.mark.parametrize("shape", ("signed", "zero interior", "lopsided", "single"))
+def test_decimal_product_matches_the_int_product(monkeypatch, side, shape):
+    a, b = map(IntPolynomial, _mul_shapes(side)[shape])
+    pack, digits = exact._pack, []
+
+    def spy(coeffs, width, *base10):
+        digits.append(bool(base10))
+        return pack(coeffs, width, *base10)
+
+    monkeypatch.setattr(exact, "_pack", spy)
+    got = a * b
+    shorter = min(len(a.coeffs), len(b.coeffs))
+    bound = shorter * max(map(abs, a.coeffs)) * max(map(abs, b.coeffs))
+    chosen = shorter * bound.bit_length() >= exact._DECIMAL_MUL_BITS
+    assert digits == [chosen] * 2 and chosen == (side == 1 and shape != "single")
+    assert bound.bit_length() <= exact._DECIMAL_SLOT_BITS
+    products = {}
+    for forced in (math.inf, 0):
+        monkeypatch.setattr(exact, "_DECIMAL_MUL_BITS", forced)
+        products[forced] = a * b
+    assert digits[2:] == [False, False, True, True]
+    assert got == products[math.inf] == products[0] == b * a
+    assert got.degree == a.degree + b.degree
+
+
+def test_decimal_product_at_the_edge_of_its_fields():
+    # a coefficient of -bound, with 2 bound just below 10^w: the field's
+    # offset must be half its range, 5 * 10^(w - 1)
+    c = math.isqrt(49 * 10**70 // 300)
+    q = IntPolynomial((c,) * 300)
+    bound = 300 * c * c
+    assert len(str(2 * bound)) == len(str(bound)) == 72
+    assert 300 * bound.bit_length() >= exact._DECIMAL_MUL_BITS
+    ramp = [min(k + 1, 599 - k) * c * c for k in range(599)]
+    assert (q * -q).coeffs == tuple(-r for r in ramp)
+    assert (q * q).coeffs == tuple(ramp)
+
+
+def test_wide_slots_stay_in_the_int_product(monkeypatch):
+    # a slot of 2^2001 or more would pass 640 digits, so even with the
+    # crossover at zero the product is the int one
+    monkeypatch.setattr(exact, "_DECIMAL_MUL_BITS", 0)
+    a = IntPolynomial((2**1000 + 1, -(2**999), 3))
+    b = IntPolynomial((-(2**1000), 0, 7))
+    assert a * b == _schoolbook(a.coeffs, b.coeffs)
+    small = IntPolynomial((2**900, -1))
+    assert small * small == _schoolbook(small.coeffs, small.coeffs)
+
+
+def test_decimal_product_ignores_the_thread_context():
+    # a thread context that traps on any rounding: arithmetic in it raises
+    a, b = map(IntPolynomial, _mul_shapes(1)["signed"])
+    strict = decimal.Context(prec=3, traps=[decimal.Inexact, decimal.Rounded])
+    with decimal.localcontext(strict) as ctx:
+        got = a * b
+        assert not any(ctx.flags.values())
+    assert got == _schoolbook(a.coeffs, b.coeffs)
+
+
 def test_product_is_the_left_to_right_product():
     assert product([]) == 1
     assert product([7]) == 7

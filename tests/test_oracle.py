@@ -345,6 +345,16 @@ def test_symplectic_elements_reject_infeasible_pairs():
         oracle.stabilizer_and_orbit_check(2, 1, 2)
 
 
+def test_stabilizer_check_rejects_s_before_enumerating_the_group():
+    before = oracle._symplectic_elements.cache_info()
+    with pytest.raises(ValueError, match="need 0 <= s <= n"):
+        oracle.stabilizer_and_orbit_check(3, 2, 2)
+    # out of range and infeasible: the range is checked first
+    with pytest.raises(ValueError, match="need 0 <= s <= n"):
+        oracle.stabilizer_and_orbit_check(3, 2, 3)
+    assert oracle._symplectic_elements.cache_info() == before
+
+
 def test_oracle_verify_closes_each_root_system_once(monkeypatch, capsys):
     # its 88 censuses span 11 (family, rank) pairs; the roots, their index
     # and the simple-reflection permutations depend on the pair alone

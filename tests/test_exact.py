@@ -225,11 +225,7 @@ def _mul_shapes(side):
     # factor pairs whose shorter factor is below the Decimal crossover
     # (side 0) or above it (side 1), at most _DECIMAL_SLOT_BITS wide
     rng = random.Random(side)
-
-    def bits(below, above):
-        return (below, above)[side]
-
-    wide, narrow, lopsided = bits(50, 150), bits(40, 200), bits(25, 40)
+    wide, narrow, lopsided = ((50, 40, 25), (150, 200, 40))[side]
     return {
         "signed": (_signed(rng, 400, wide), _signed(rng, 300, wide)),
         "zero interior": (

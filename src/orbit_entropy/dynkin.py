@@ -14,12 +14,13 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from collections import Counter
 from collections.abc import Iterable, Sequence
 from functools import lru_cache
 
 from .entropy import ProbVec
-from .exact import InexactDivisionError, IntPolynomial, Record, _integral, _unpack, exact_div
+from .exact import InexactDivisionError, IntPolynomial, Record, _integral, exact_div
 
 __all__ = [
     "FAMILIES",
@@ -135,27 +136,26 @@ def _bracket_quotient(numer: Sequence[int], denom: Sequence[int]) -> IntPolynomi
     [b]_t over denom, where [j]_t = 1 + t + ... + t^{j-1}.
 
     After cancelling shared sizes, C / P is the power series
-    prod (1 - t^a) / prod (1 - t^b) * (1 - t)^{#b - #a}, carried to degree
-    M = floor(deg C / 2) in one int whose w-byte slot i holds coefficient
-    i.  A divisor 1 - t^b paired with a factor 1 - t^a, b | a, leaves the
-    polynomial 1 + t^b + ... + t^{a-b}, multiplied in by shifts and
-    additions.  The pairs go first, so the int grows from one slot rather
-    than starting at full length.  A factor 1 - t^a left over is then a
-    shift and a subtraction; a divisor 1 - t^b left over multiplies by the
-    factors 1 + t^{b 2^i} with b 2^i <= M.
+    prod (1 - t^a) / prod (1 - t^b) * (1 - t)^{#b - #a}, carried exactly
+    to degree M = floor(deg C / 2) in a list of ints.  Multiplying by
+    1 - t^a subtracts the list shifted by a, and dividing by 1 - t^b takes
+    running sums along each residue class mod b; each is one pass of
+    map or itertools.accumulate.  A divisor 1 - t^b paired with a factor
+    1 - t^a, b | a, leaves the polynomial 1 + t^b + ... + t^{a-b}, so the
+    pairs go first and the list grows from one entry rather than starting
+    at full length.  The factors 1 - t^a and divisors 1 - t^b left over
+    follow.
 
-    The result Q has slots 0..min(M, D) as its coefficients, with
-    D = deg C - deg P, and coefficient i > M equal to slot D - i, the
-    value palindromy gives it.  With 2^{8w} > C(1), a Q with
-    nonnegative coefficients and Q(1) = C(1) / P(1) makes every
-    coefficient of Q * P and of C lie in [0, C(1)], so slot arithmetic
-    modulo t^{M+1} settles their coefficients 0..M exactly.  Hence a Q
-    with no slots above D, palindromic of degree D (which compares the
-    overlap D - M..M when D > M) and with Q(1) = C(1) / P(1) satisfies
-    Q * P = C: both sides are palindromic of degree deg C and agree up to
-    degree floor(deg C / 2).  Any other result raises
-    InexactDivisionError; so does an exact quotient with a negative
-    coefficient, which no parabolic quotient has.
+    The result Q has the series' coefficients 0..min(M, D), with
+    D = deg C - deg P, and coefficient i > M equal to coefficient D - i,
+    the value palindromy gives it.  The series is exact, so Q * P agrees
+    with C modulo t^{M+1}.  Hence a Q with no series terms between D and
+    M and palindromic of degree D (which compares the overlap D - M..M
+    when D > M) satisfies Q * P = C: both sides are palindromic of degree
+    deg C and agree up to degree floor(deg C / 2).  Q(1) = C(1) / P(1) is
+    checked as well.  Any other result raises InexactDivisionError; so
+    does an exact quotient with a negative coefficient, which no parabolic
+    quotient has.
     """
     tops = Counter(a for a in numer if a > 1)
     bottoms = Counter(b for b in denom if b > 1)
@@ -165,18 +165,24 @@ def _bracket_quotient(numer: Sequence[int], denom: Sequence[int]) -> IntPolynomi
     degree = top_degree - sum((b - 1) * k for b, k in bottoms.items())
     if degree < 0:
         raise InexactDivisionError("bracket degree exceeds dividend degree")
-    top_value = math.prod(a**k for a, k in tops.items())
-    width = (top_value.bit_length() + 7) // 8
-    slot = 8 * width
     reach = top_degree // 2
-    mask = (1 << slot * (reach + 1)) - 1
     # (1 - t)^{#b - #a} enters as extra factors of size 1
     excess = tops.total() - bottoms.total()
     numerators = sorted(itertools.chain(tops.elements(), itertools.repeat(1, -excess)))
     divisors = sorted(
         itertools.chain(bottoms.elements(), itertools.repeat(1, excess)), reverse=True
     )
-    series = 1
+    series = [1]
+
+    def times(a: int) -> None:
+        # series * (1 - t^a), at the series' length
+        series[a:] = map(operator.sub, series[a:], series)
+
+    def over(b: int) -> None:
+        # series / (1 - t^b), at the series' length
+        for r in range(min(b, len(series))):
+            series[r::b] = itertools.accumulate(series[r::b])
+
     unpaired = []
     for b in divisors:
         a = next((a for a in numerators if a % b == 0), None)
@@ -184,33 +190,25 @@ def _bracket_quotient(numer: Sequence[int], denom: Sequence[int]) -> IntPolynomi
             unpaired.append(b)
             continue
         numerators.remove(a)
-        # times 1 + T + ... + T^{c-1} with T = t^b, c = a / b, built from
-        # the bits of c: [2n] = [n](1 + T^n) and [2n+1] = 1 + T[2n]
-        shift = slot * b
-        out, n = series, 1
-        for bit in bin(a // b)[3:]:
-            out += out << shift * n
-            n *= 2
-            if bit == "1":
-                out = series + (out << shift)
-                n += 1
-        series = out & mask
+        # times 1 + t^b + ... + t^{a-b}, which has a - b more terms
+        series += [0] * min(a - b, reach + 1 - len(series))
+        over(b)
+        times(a)
+    series += [0] * (reach + 1 - len(series))
     for a in numerators:
-        if a <= reach:
-            series = (series - (series << slot * a)) & mask
+        times(a)
     for b in unpaired:
-        step = b
-        while step <= reach:
-            series = (series + (series << slot * step)) & mask
-            step *= 2
-    if series >> slot * (degree + 1):
+        over(b)
+    if any(series[degree + 1 :]):
         raise InexactDivisionError("bracket quotient is not a polynomial")
-    kept = min(reach, degree) + 1
-    coeffs = _unpack(series, width, kept)
-    coeffs += coeffs[: degree + 1 - kept][::-1]
+    coeffs = series[: degree + 1]
+    coeffs += coeffs[: degree + 1 - len(coeffs)][::-1]
+    top_value = math.prod(a**k for a, k in tops.items())
     bottom_value = math.prod(b**k for b, k in bottoms.items())
     if coeffs != coeffs[::-1] or sum(coeffs) != exact_div(top_value, bottom_value):
         raise InexactDivisionError("nonzero remainder in bracket division")
+    if min(coeffs) < 0:
+        raise InexactDivisionError("bracket quotient has a negative coefficient")
     return IntPolynomial(coeffs)
 
 

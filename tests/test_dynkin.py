@@ -481,6 +481,13 @@ def test_the_mirrored_overlap_is_checked(numer, denom):
         _bracket_quotient(numer, denom)
 
 
+def test_an_exact_quotient_with_a_negative_coefficient_raises():
+    # [4][6] / ([2]^2 [3]) = Phi_4 Phi_6 = 1 - t + 2t^2 - t^3 + t^4 passes
+    # the other end checks
+    with pytest.raises(InexactDivisionError, match="negative coefficient"):
+        _bracket_quotient((4, 6), (2, 2, 3))
+
+
 def _ref_bracket_quotient(numer, denom):
     # C / P one bracket at a time, or None where a division leaves a
     # remainder
@@ -500,16 +507,17 @@ def test_half_degree_quotient_matches_bracket_division():
     # (deg C odd or even, D above or at most deg C // 2) must agree with
     # the division, and a remainder or a negative coefficient must raise
     rng = random.Random(19)
-    shapes = Counter()
+    shapes, negative = Counter(), 0
     for _ in range(4000):
         numer = [rng.randint(1, 12) for _ in range(rng.randint(1, 6))]
         denom = [rng.randint(1, 12) for _ in range(rng.randint(0, 5))]
         want = _ref_bracket_quotient(numer, denom)
         if want is None or min(want) < 0:
+            negative += want is not None
             with pytest.raises(InexactDivisionError):
                 _bracket_quotient(numer, denom)
             continue
         assert _bracket_quotient(numer, denom) == IntPolynomial(want)
         top = sum(a - 1 for a in numer)
         shapes[top % 2, len(want) - 1 > top // 2] += 1
-    assert len(shapes) == 4 and min(shapes.values()) >= 20, shapes
+    assert negative and len(shapes) == 4 and min(shapes.values()) >= 20, shapes

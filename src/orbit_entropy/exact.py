@@ -259,8 +259,10 @@ class IntPolynomial(Record):
     def __mul__(self, other: "IntPolynomial") -> "IntPolynomial":
         # Kronecker substitution: evaluate both factors at t = X, make one
         # multiplication, and read the product's coefficients back from its
-        # w-wide slots.  Each slot is offset by half its range, so one
-        # decoding serves signed coefficients.  X = 2^(8w) with an int
+        # w-wide slots.  When a factor has a negative coefficient, each slot
+        # is offset by half its range, so one decoding serves signed
+        # coefficients; a product of nonnegative factors already has every
+        # slot in [0, bound], below half its range.  X = 2^(8w) with an int
         # product.  From _DECIMAL_MUL_BITS in the shorter factor, counted as
         # its length times the bits of the coefficient bound, X = 10^w with
         # one Decimal product, which libmpdec makes by a number-theoretic
@@ -274,19 +276,24 @@ class IntPolynomial(Record):
         bound = shorter * max(map(abs, a)) * max(map(abs, b))
         bits = bound.bit_length()
         size = len(a) + len(b) - 1
+        signed = min(a) < 0 or min(b) < 0
         if shorter * bits < _DECIMAL_MUL_BITS or bits > _DECIMAL_SLOT_BITS:
             width = bits // 8 + 1
             half = 1 << (8 * width - 1)
-            offset = int.from_bytes((bytes(width - 1) + b"\x80") * size, "little")
-            packed = _pack(a, width) * _pack(b, width) + offset
+            packed = _pack(a, width) * _pack(b, width)
+            if signed:
+                packed += int.from_bytes((bytes(width - 1) + b"\x80") * size, "little")
         else:
             # 10^w > 2 bound
             width = len(str(2 * bound))
             half = 5 * 10 ** (width - 1)
             ctx = _EXACT_CONTEXT
-            offset = ctx.create_decimal(str(half) * size)
-            packed = ctx.fma(_pack(a, width, True), _pack(b, width, True), offset)
-        return IntPolynomial(_unpack(packed, width, size, half))
+            x, y = _pack(a, width, True), _pack(b, width, True)
+            if signed:
+                packed = ctx.fma(x, y, ctx.create_decimal(str(half) * size))
+            else:
+                packed = ctx.multiply(x, y)
+        return IntPolynomial(_unpack(packed, width, size, half if signed else 0))
 
     def __call__(self, x: int) -> int:
         # divide and conquer: pair neighbours as c_i + x^h c_{i+1}, h = 1, 2,

@@ -1,12 +1,18 @@
 """Brute-force validators at tiny scale.
 
-Words are enumerated symbol by symbol. Reflection groups are closed
-under explicit multiplication acting on their root systems, each root
-system being the closure of the simple roots under their reflections,
-built once per (family, rank). Subspaces of F_q^{2n} are one-step flags,
-enumerated through canonical echelon bases and the standard alternating
-form. GL_m and Sp_2n are both filled in column by column by one
-depth-first builder; Sp_2n is cached, enumerated once per (n, q).
+Every word is enumerated and its symbol frequencies read off. Reflection
+groups are closed under explicit multiplication acting on their root
+systems, each root system being the closure of the simple roots under
+their reflections, built once per (family, rank). Subspaces of F_q^{2n}
+are one-step flags, enumerated through canonical echelon bases and kept
+when the standard alternating form omega vanishes on each pair of basis
+vectors. omega is read from one table per (n, q), made on first use and
+filled entry by entry by ``_omega``; the Sp_2n column search reads the
+same table. GL_m and Sp_2n are filled in column by column, depth first:
+each GL branch carries the span of its columns down the tree and counts
+the candidates for its last column, and Sp_2n is cached, enumerated
+once per (n, q). The orbit-stabilizer check acts by columns: the first s
+columns of a group element span its image of the coordinate subspace.
 
 Nothing here reuses the closed forms it exists to validate; the only
 closed-form imports are the expected sizes used as closure caps and the
@@ -23,7 +29,8 @@ from __future__ import annotations
 
 import functools
 import itertools
-from collections.abc import Callable, Iterable, Iterator, Sequence
+import operator
+from collections.abc import Iterable, Sequence
 
 from .dynkin import _check_removal, group_order
 from .exact import InexactDivisionError, IntPolynomial, Record, _integral
@@ -65,15 +72,11 @@ def count_type_class(n: int, counts: Sequence[int]) -> int:
         raise ValueError("symbol counts must be nonnegative")
     if sum(target) != n:
         raise ValueError("symbol counts must sum to the word length")
-    k = len(target)
-    total = 0
-    for word in itertools.product(range(k), repeat=n):
-        seen = [0] * k
-        for a in word:
-            seen[a] += 1
-        if tuple(seen) == target:
-            total += 1
-    return total
+    # symbol a weighs (n + 1)^a, so the weights of a word's symbols sum
+    # to its frequencies written in base n + 1
+    weights = [(n + 1) ** a for a in range(len(target))]
+    code = sum(c * w for c, w in zip(target, weights))
+    return operator.countOf(map(sum, itertools.product(weights, repeat=n)), code)
 
 
 # ---------------------------------------------------------------------------
@@ -147,25 +150,22 @@ def _root_system(family: str, rank: int) -> tuple[int, tuple[tuple[int, ...], ..
     return len(pos), tuple(_root_permutation(a, pos, index) for a in simples)
 
 
-def _compose(g: tuple[int, ...], h: tuple[int, ...]) -> tuple[int, ...]:
-    # first h, then g
-    out = []
-    for j in h:
-        out.append(g[j - 1] if j > 0 else -g[-j - 1])
-    return tuple(out)
-
-
 def _close_group(
     generators: list[tuple[int, ...]], npos: int, cap: int
 ) -> set[tuple[int, ...]]:
-    identity = tuple(range(1, npos + 1))
+    # elements are stored as (0, images of roots 1..npos) and each generator
+    # s as (0, s, -s reversed), so that s[-j] = -s[j] and itemgetter(*g)(s),
+    # first g then s, is a tuple even at npos = 1
+    signed = [(0,) + s + tuple(-j for j in reversed(s)) for s in generators]
+    identity = tuple(range(npos + 1))
     seen = {identity}
     frontier = [identity]
     while frontier:
         fresh = []
         for g in frontier:
-            for s in generators:
-                h = _compose(s, g)
+            pick = operator.itemgetter(*g)
+            for s in signed:
+                h = pick(s)
                 if h not in seen:
                     seen.add(h)
                     fresh.append(h)
@@ -223,6 +223,25 @@ def _omega(u: Sequence[int], v: Sequence[int], q: int) -> int:
     return sum(u[i] * v[n + i] - u[n + i] * v[i] for i in range(n)) % q
 
 
+class _FormTable(dict):
+    # omega on pairs (u, v) of vectors, each entry computed by _omega the
+    # first time it is read
+
+    def __init__(self, q: int) -> None:
+        super().__init__()
+        self.q = q
+
+    def __missing__(self, pair: tuple) -> int:
+        value = self[pair] = _omega(*pair, self.q)
+        return value
+
+
+@functools.cache
+def _omega_table(n: int, q: int) -> _FormTable:
+    # the one table of omega on F_q^{2n}, made on first use
+    return _FormTable(q)
+
+
 def _rref_bases(s: int, dim: int, q: int):
     # canonical reduced echelon bases: one per s-dimensional subspace
     for pivots in itertools.combinations(range(dim), s):
@@ -233,38 +252,37 @@ def _rref_bases(s: int, dim: int, q: int):
             for col in range(pivots[row] + 1, dim)
             if col not in pivot_set
         ]
+        template = [[int(col == pivot) for col in range(dim)] for pivot in pivots]
         for values in itertools.product(range(q), repeat=len(free)):
-            rows = [[0] * dim for _ in range(s)]
-            for row, col in zip(range(s), pivots):
-                rows[row][col] = 1
+            rows = [r[:] for r in template]
             for (row, col), val in zip(free, values):
                 rows[row][col] = val
-            yield tuple(tuple(r) for r in rows)
+            yield tuple(map(tuple, rows))
+
+
+def _extend_span(span: frozenset, v: tuple[int, ...], q: int) -> frozenset:
+    # the span of span's vectors and v: each of them plus each multiple of v
+    multiples = [[c * x % q for x in v] for c in range(1, q)]
+    return span.union(
+        [tuple([(a + b) % q for a, b in zip(u, w)]) for w in multiples for u in span]
+    )
 
 
 def _span(rows, dim: int, q: int) -> frozenset:
-    vecs = set()
-    for coefs in itertools.product(range(q), repeat=len(rows)):
-        v = [0] * dim
-        for c, row in zip(coefs, rows):
-            if c:
-                for i in range(dim):
-                    v[i] += c * row[i]
-        vecs.add(tuple(x % q for x in v))
-    return frozenset(vecs)
+    span = frozenset([(0,) * dim])
+    for row in rows:
+        span = _extend_span(span, row, q)
+    return span
 
 
 def _isotropic_spans(s: int, n: int, q: int) -> list[frozenset]:
     dim = 2 * n
-    out = []
-    for rows in _rref_bases(s, dim, q):
-        if all(
-            _omega(rows[i], rows[j], q) == 0
-            for i in range(s)
-            for j in range(i + 1, s)
-        ):
-            out.append(_span(rows, dim, q))
-    return out
+    omega = _omega_table(n, q)
+    return [
+        _span(rows, dim, q)
+        for rows in _rref_bases(s, dim, q)
+        if all(omega[pair] == 0 for pair in itertools.combinations(rows, 2))
+    ]
 
 
 def enumerate_isotropic_subspaces(s: int, n: int, q: int) -> int:
@@ -299,22 +317,6 @@ def enumerate_isotropic_flags(increments: Sequence[int], n: int, q: int) -> int:
     return sum(ways.values())
 
 
-def _column_lists(dim: int, q: int, candidates: Callable) -> Iterator[tuple]:
-    # depth-first: every tuple of dim columns over F_q whose k-th column is
-    # drawn from candidates(vectors, first k columns); only the current
-    # branch is held, never a whole level of partial lists
-    vectors = list(itertools.product(range(q), repeat=dim))
-
-    def extend(cols: tuple) -> Iterator[tuple]:
-        if len(cols) == dim:
-            yield cols
-            return
-        for v in candidates(vectors, cols):
-            yield from extend(cols + (v,))
-
-    return extend(())
-
-
 def enumerate_general_linear(m: int, q: int) -> int:
     """Count of invertible m-by-m matrices over F_q, by listing their
     columns one at a time, each outside the span of the columns before it."""
@@ -324,41 +326,56 @@ def enumerate_general_linear(m: int, q: int) -> int:
         raise ValueError("m must be nonnegative")
     if q ** (m * m) > 70000:
         raise ValueError("general linear enumeration capped at q^(m*m) <= 70000")
+    if m == 0:
+        return 1
+    vectors = list(itertools.product(range(q), repeat=m))
 
-    def independent(vectors: list, cols: tuple) -> Iterator[tuple]:
-        span = _span(cols, m, q)
-        return (v for v in vectors if v not in span)
+    def completions(span: frozenset, depth: int) -> int:
+        # depth-first, each branch carrying the span of its columns; the
+        # last column's candidates are counted, not extended
+        fresh = [v for v in vectors if v not in span]
+        if depth == m - 1:
+            return len(fresh)
+        return sum(completions(_extend_span(span, v, q), depth + 1) for v in fresh)
 
-    return sum(1 for _ in _column_lists(m, q, independent))
+    return completions(_span((), m, q), 0)
 
 
 @functools.cache
 def _symplectic_elements(n: int, q: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    # the whole group as row-major matrices, its columns filled under the
-    # form constraints; enumerated once per (n, q)
+    # the whole group as row-major matrices, filled in column by column
+    # depth-first under the form constraints; enumerated once per (n, q)
     n, q = _integral((n, q), "n and q")
     _check_field(q)
     if (n, q) not in SP_FEASIBLE:
         raise ValueError(f"enumeration feasible only for (n, q) in {sorted(SP_FEASIBLE)}")
     dim = 2 * n
+    omega = _omega_table(n, q)
+    vectors = list(itertools.product(range(q), repeat=dim))
+    basis = [_root(dim, i) for i in range(dim)]
+    found = []
 
-    def compatible(vectors: list, cols: tuple) -> Iterator[tuple]:
+    def extend(cols: tuple) -> None:
         # column k is a v with omega(c_i, v) = omega(e_i, e_k) for each earlier c_i
-        e_k = _root(dim, len(cols))
-        pairs = [(c, _omega(_root(dim, i), e_k, q)) for i, c in enumerate(cols)]
-        return (v for v in vectors if all(_omega(c, v, q) == w for c, w in pairs))
+        if len(cols) == dim:
+            found.append(tuple(zip(*cols)))
+            return
+        e_k = basis[len(cols)]
+        candidates = vectors
+        for c, e_i in zip(cols, basis):
+            w = omega[e_i, e_k]
+            candidates = [v for v in candidates if omega[c, v] == w]
+        for v in candidates:
+            extend(cols + (v,))
 
-    return tuple(tuple(zip(*cols)) for cols in _column_lists(dim, q, compatible))
+    extend(())
+    return tuple(found)
 
 
 def enumerate_symplectic_group(n: int, q: int) -> int:
     """Count of 2n-by-2n matrices over F_q preserving the standard
     alternating form."""
     return len(_symplectic_elements(n, q))
-
-
-def _matvec(g, v, q: int) -> tuple[int, ...]:
-    return tuple(sum(row[i] * v[i] for i in range(len(v))) % q for row in g)
 
 
 class OrbitStabilizerReport(Record):
@@ -393,8 +410,14 @@ def stabilizer_and_orbit_check(s: int, n: int, q: int = 2) -> OrbitStabilizerRep
     base = _span(tuple(_root(dim, i) for i in range(s)), dim, q)
     orbit = set()
     stabilizer = 0
+    spans: dict[tuple, frozenset] = {}
     for g in group:
-        image = frozenset(_matvec(g, v, q) for v in base)
+        # g's first s columns are its images of e_1..e_s, so they span
+        # g(base); each distinct tuple of them is spanned once
+        cols = tuple(zip(*g))[:s]
+        image = spans.get(cols)
+        if image is None:
+            image = spans[cols] = _span(cols, dim, q)
         orbit.add(image)
         if image == base:
             stabilizer += 1

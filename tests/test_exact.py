@@ -287,6 +287,36 @@ def test_wide_slots_stay_in_the_int_product(monkeypatch):
     assert small * small == _schoolbook(small.coeffs, small.coeffs)
 
 
+@pytest.mark.parametrize("digits", (False, True))
+@pytest.mark.parametrize("sign", ("nonnegative", "signed"))
+def test_product_offsets_its_slots_only_for_signed_factors(monkeypatch, digits, sign):
+    # both paths against the schoolbook product; slots are offset by half
+    # their range only when a factor has a negative coefficient
+    rng = random.Random(20)
+    coeffs = [
+        [rng.getrandbits(40) for _ in range(60)],
+        [rng.getrandbits(40) for _ in range(45)],
+        [2**40 - 1] * 50,  # the middle slot of its square reaches the bound
+    ]
+    if sign == "signed":
+        coeffs = [[c * rng.choice((-1, 1)) for c in cs] for cs in coeffs] + [
+            [-(2**40 - 1)] * 50
+        ]
+    monkeypatch.setattr(exact, "_DECIMAL_MUL_BITS", 0 if digits else math.inf)
+    unpack, offsets = exact._unpack, []
+
+    def spy(packed, width, count, offset=0):
+        offsets.append(offset)
+        assert isinstance(packed, decimal.Decimal) == digits
+        return unpack(packed, width, count, offset)
+
+    monkeypatch.setattr(exact, "_unpack", spy)
+    for a, b in itertools.product(coeffs, repeat=2):
+        assert IntPolynomial(a) * IntPolynomial(b) == _schoolbook(a, b)
+        assert (offsets.pop() != 0) == (min(a) < 0 or min(b) < 0)
+    assert not offsets
+
+
 def test_decimal_product_ignores_the_thread_context():
     # a thread context that traps on any rounding: arithmetic in it raises
     a, b = map(IntPolynomial, _mul_shapes(1)["signed"])

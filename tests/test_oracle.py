@@ -3,6 +3,9 @@ closed form by direct enumeration, so sizes are deliberately tiny."""
 
 import ast
 import itertools
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -87,6 +90,8 @@ def test_enumerate_general_linear():
     assert oracle.enumerate_general_linear(2, 2) == gl_order(2, 2) == 6
     assert oracle.enumerate_general_linear(3, 2) == gl_order(3, 2) == 168
     assert oracle.enumerate_general_linear(2, 3) == gl_order(2, 3) == 48
+    # the largest case under the cap, where the count is taken four columns deep
+    assert oracle.enumerate_general_linear(4, 2) == gl_order(4, 2) == 20160
     with pytest.raises(ValueError):
         oracle.enumerate_general_linear(4, 3)
 
@@ -209,8 +214,9 @@ def test_general_linear_names_the_cause():
 
 
 # reference copies of the earlier routes: hand-written positive roots,
-# row reduction of every matrix, and a column search for Sp written apart
-# from the shared column builder
+# row reduction of every matrix, a column search for Sp written apart from
+# the oracle's, the form as a Gram matrix product, and the action of a
+# group element by matrix-vector products on every vector of the base
 
 
 def _ref_basis(dim, i, sign=1):
@@ -299,6 +305,84 @@ def _ref_symplectic_elements(n, q):
 
     extend([])
     return found
+
+
+def _ref_matvec(g, v, q):
+    return tuple(sum(row[i] * v[i] for i in range(len(v))) % q for row in g)
+
+
+def _ref_orbit_and_stabilizer(s, n, q):
+    dim = 2 * n
+    base = frozenset(
+        v for v in itertools.product(range(q), repeat=dim) if not any(v[s:])
+    )
+    orbit, stabilizer = set(), 0
+    for g in oracle._symplectic_elements(n, q):
+        image = frozenset(_ref_matvec(g, v, q) for v in base)
+        orbit.add(image)
+        stabilizer += image == base
+    return len(orbit), stabilizer
+
+
+@pytest.mark.parametrize(
+    "s,n,q", [(s, n, q) for n, q in sorted(oracle.SP_FEASIBLE) for s in range(n + 1)]
+)
+def test_stabilizer_and_orbit_check_matches_the_matrix_action(s, n, q):
+    report = oracle.stabilizer_and_orbit_check(s, n, q)
+    got = (report.orbit_size, report.stabilizer_size)
+    assert got == _ref_orbit_and_stabilizer(s, n, q)
+    assert report.group_size == len(oracle._symplectic_elements(n, q))
+    assert report.holds
+
+
+@pytest.mark.parametrize("n,q", list(itertools.product((1, 2), (2, 3))))
+def test_omega_table_matches_the_gram_form(n, q):
+    # every pair the oracle's isotropy filter or Sp search could read
+    table = oracle._omega_table(n, q)
+    assert oracle._omega_table(n, q) is table
+    J = _ref_gram(n, q)
+    vectors = list(itertools.product(range(q), repeat=2 * n))
+    for u, v in itertools.product(vectors, repeat=2):
+        assert table[u, v] == _ref_form(J, u, v, q), (u, v)
+    assert len(table) == len(vectors) ** 2
+
+
+def test_oracle_verify_builds_each_omega_table_once(monkeypatch, capsys):
+    # one table per (n, q) of the isotropic families, shared with the Sp
+    # search; its entries are filled as they are read, not all up front
+    from orbit_entropy import cli
+
+    made = []
+
+    class Counted(oracle._FormTable):
+        def __init__(self, q):
+            made.append(q)
+            super().__init__(q)
+
+    monkeypatch.setattr(oracle, "_FormTable", Counted)
+    oracle._omega_table.cache_clear()
+    oracle._symplectic_elements.cache_clear()
+    assert cli.main(["oracle-verify"]) == 0
+    capsys.readouterr()
+    assert sorted(made) == [2, 2, 3, 3]
+    assert oracle._omega_table.cache_info().currsize == 4
+    assert 0 < len(oracle._omega_table(2, 3)) < 81**2
+    oracle._omega_table.cache_clear()
+
+
+def test_importing_the_oracle_builds_no_table():
+    probe = (
+        "import orbit_entropy.oracle as o\n"
+        "print(o._omega_table.cache_info().currsize,"
+        " o._symplectic_elements.cache_info().currsize,"
+        " o._root_system.cache_info().currsize)\n"
+    )
+    env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
+    env["PYTHONPATH"] = str(Path(oracle.__file__).parents[1])
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", probe], capture_output=True, text=True, env=env
+    )
+    assert (done.returncode, done.stderr, done.stdout) == (0, "", "0 0 0\n")
 
 
 @pytest.mark.parametrize(

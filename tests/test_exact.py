@@ -299,8 +299,10 @@ def test_product_offsets_its_slots_only_for_signed_factors(monkeypatch, digits, 
         [2**40 - 1] * 50,  # the middle slot of its square reaches the bound
     ]
     if sign == "signed":
-        coeffs = [[c * rng.choice((-1, 1)) for c in cs] for cs in coeffs] + [
-            [-(2**40 - 1)] * 50
+        # signed factors, also against a nonnegative one
+        coeffs = [[c * rng.choice((-1, 1)) for c in cs] for cs in coeffs[:2]] + [
+            [-(2**40 - 1)] * 50,
+            coeffs[2],
         ]
     monkeypatch.setattr(exact, "_DECIMAL_MUL_BITS", 0 if digits else math.inf)
     unpack, offsets = exact._unpack, []

@@ -33,7 +33,7 @@ from .entropy import (
     symplectic_entropy,
     tsallis2,
 )
-from .exact import InexactDivisionError, IntPolynomial, multinomial
+from .exact import _EXACT_CONTEXT, InexactDivisionError, IntPolynomial, multinomial
 from .reflection import (
     coarsening_cardinality_check,
     coarsening_poincare_check,
@@ -146,11 +146,12 @@ def _int_str(value: int) -> str:
     Above _DECIMAL_STR_BITS the magnitude is split at 2^k, k half its bit
     length; the halves are converted recursively and joined as
     hi * 2^k + lo in Decimal, with the powers of 2 cached for the call.
-    The context has MAX_PREC and traps Inexact and Rounded, so an
-    operation that would lose a digit raises instead.
+    The operations run in exact._EXACT_CONTEXT, never the caller's
+    context, so one that would lose a digit raises instead.
     """
     if value.bit_length() < _DECIMAL_STR_BITS:
         return str(value)
+    ctx = _EXACT_CONTEXT
     powers: dict[int, decimal.Decimal] = {}
 
     def power(w: int) -> decimal.Decimal:
@@ -158,7 +159,7 @@ def _int_str(value: int) -> str:
             h = w >> 1
             powers[w] = (
                 decimal.Decimal(1 << w) if w <= _DECIMAL_LEAF_BITS
-                else power(h) * power(w - h)
+                else ctx.multiply(power(h), power(w - h))
             )
         return powers[w]
 
@@ -168,14 +169,9 @@ def _int_str(value: int) -> str:
             return decimal.Decimal(n)
         h = w >> 1
         hi = n >> h
-        return convert(hi, w - h).fma(power(h), convert(n - (hi << h), h))
+        return ctx.fma(convert(hi, w - h), power(h), convert(n - (hi << h), h))
 
-    with decimal.localcontext() as ctx:
-        ctx.prec = decimal.MAX_PREC
-        ctx.Emax = decimal.MAX_EMAX
-        ctx.Emin = decimal.MIN_EMIN
-        ctx.traps[decimal.Inexact] = ctx.traps[decimal.Rounded] = True
-        digits = str(convert(abs(value), value.bit_length()))
+    digits = str(convert(abs(value), value.bit_length()))
     return digits if value > 0 else "-" + digits
 
 
@@ -270,12 +266,8 @@ def _cmd_converge(args: argparse.Namespace) -> tuple[list[dict], int]:
     key = "family" if reflection else "q"
     _require(args, (key,), f"converge {args.kind}")
     for n in schedule:
-        if n % dist.denominator:
-            raise ValueError(
-                f"n={n} is not admissible for this distribution: "
-                "every n*p must be an integer"
-            )
-        if reflection and n * min(dist) <= 3:
+        counts = dist.scaled_counts(n)  # every n*p must be an integer
+        if reflection and min(counts) <= 3:
             raise ValueError(
                 f"n={n} is not admissible for this distribution: "
                 "every n*p must exceed 3"

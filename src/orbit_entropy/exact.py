@@ -145,14 +145,20 @@ def product(values: Iterable[int]) -> int:
     return level[0]
 
 
+def _field_sizes(q: int, *sizes: int, what: str = "field sizes") -> tuple[int, ...]:
+    # q and the sizes after it as ints, by _integral; the one statement of q >= 2
+    ints = _integral((q, *sizes), what)
+    if ints[0] < 2:
+        raise ValueError("field size q must be at least 2")
+    return ints
+
+
 def q_factorial(k: int, q: int) -> int:
     """Product (q^k - 1)(q^{k-1} - 1) ... (q - 1); empty product for k = 0."""
     k, q = _integral((k, q), "k and q")
     if k < 0:
         raise ValueError("q_factorial requires k >= 0")
-    if q < 2:
-        raise ValueError("q must be at least 2")
-    return product(q**i - 1 for i in range(1, k + 1))
+    return cyclotomic_product(q_multinomial_exponents(k, ()), q)
 
 
 def _cyclotomic_values(m: int, q: int) -> list[int]:
@@ -184,9 +190,7 @@ def cyclotomic_product(exponents: Sequence[int], q: int) -> int:
     integers, q >= 2.  A negative e_d would make the product no polynomial
     in q and raises InexactDivisionError."""
     exponents = _integral(exponents, "exponents")
-    (q,) = _integral((q,), "field sizes")
-    if q < 2:
-        raise ValueError("q must be at least 2")
+    (q,) = _field_sizes(q)
     negative = [d for d, e in enumerate(exponents) if e < 0]
     if negative:
         raise InexactDivisionError(f"Phi_{negative[0]}(q) has a negative exponent")

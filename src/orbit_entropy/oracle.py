@@ -16,9 +16,10 @@ columns of a group element span its image of the coordinate subspace.
 
 Nothing here reuses the closed forms it exists to validate; the only
 closed-form imports are the expected sizes used as closure caps and the
-reference values packed into the orbit report. A removal list passes
-dynkin's input check, ``_check_removal``, so the census and the closed
-forms refuse the same lists with the same messages.
+reference values packed into the orbit report. Its input checks are
+dynkin's and symplectic's, so the oracle and the closed forms refuse the
+same inputs with the same messages; only the caps and the prime-field
+rule are its own.
 
 Hard caps (word length 10, rank 4, half-dimension 2, prime fields F_2
 and F_3) are constants; exceeding one is an error, not a best-effort
@@ -32,8 +33,9 @@ import itertools
 import operator
 from collections.abc import Iterable, Sequence
 
-from .dynkin import _check_removal, group_order
+from .dynkin import Diagram, _check_removal, group_order
 from .exact import InexactDivisionError, IntPolynomial, Record, _integral
+from .symplectic import _check_flag_shape, _check_gl_rank, _check_subspace
 from .symplectic import ig_count, sp_order
 from .verify import _flag_stabilizer_order, _order
 
@@ -101,8 +103,7 @@ def _simple_roots(family: str, rank: int) -> list[tuple[int, ...]]:
     chain = [_root(rank, i, i + 1, -1) for i in range(rank - 1)]
     if family == "B":
         return chain + [_root(rank, rank - 1)]
-    if rank < 2:
-        raise ValueError("family D requires rank >= 2")
+    Diagram(family, rank)  # family D needs rank >= 2
     return chain + [_root(rank, rank - 2, rank - 1, 1)]
 
 
@@ -288,8 +289,7 @@ def _isotropic_spans(s: int, n: int, q: int) -> list[frozenset]:
 def enumerate_isotropic_subspaces(s: int, n: int, q: int) -> int:
     """Count of s-dimensional totally isotropic subspaces of F_q^{2n},
     by filtering canonical echelon bases: the flags with one step."""
-    if not 0 <= s <= n:
-        raise ValueError("need 0 <= s <= n")
+    _check_subspace(s, n)
     return enumerate_isotropic_flags((s,) if s else (), n, q)
 
 
@@ -300,11 +300,7 @@ def enumerate_isotropic_flags(increments: Sequence[int], n: int, q: int) -> int:
     _check_field(q)
     if n > MAX_HALF_DIM:
         raise ValueError(f"half-dimension capped at {MAX_HALF_DIM}")
-    incs = _integral(increments, "increments")
-    if any(m < 1 for m in incs):
-        raise ValueError("increments must be positive")
-    if sum(incs) > n:
-        raise ValueError("total dimension cannot exceed n")
+    incs = _check_flag_shape(increments, n)
     if not incs:
         return 1
     dims = list(itertools.accumulate(incs))
@@ -322,8 +318,7 @@ def enumerate_general_linear(m: int, q: int) -> int:
     columns one at a time, each outside the span of the columns before it."""
     m, q = _integral((m, q), "m and q")
     _check_field(q)
-    if m < 0:
-        raise ValueError("m must be nonnegative")
+    _check_gl_rank(m)
     if q ** (m * m) > 70000:
         raise ValueError("general linear enumeration capped at q^(m*m) <= 70000")
     if m == 0:
@@ -343,7 +338,7 @@ def enumerate_general_linear(m: int, q: int) -> int:
 
 @functools.cache
 def _symplectic_elements(n: int, q: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    # the whole group as row-major matrices, filled in column by column
+    # the whole group as column tuples, filled in column by column
     # depth-first under the form constraints; enumerated once per (n, q)
     n, q = _integral((n, q), "n and q")
     _check_field(q)
@@ -358,7 +353,7 @@ def _symplectic_elements(n: int, q: int) -> tuple[tuple[tuple[int, ...], ...], .
     def extend(cols: tuple) -> None:
         # column k is a v with omega(c_i, v) = omega(e_i, e_k) for each earlier c_i
         if len(cols) == dim:
-            found.append(tuple(zip(*cols)))
+            found.append(cols)
             return
         e_k = basis[len(cols)]
         candidates = vectors
@@ -403,8 +398,7 @@ def stabilizer_and_orbit_check(s: int, n: int, q: int = 2) -> OrbitStabilizerRep
     spanned by the first s basis vectors and compares the orbit size with
     ig_count and the stabilizer size with the |P| its proof uses."""
     s, n, q = _integral((s, n, q), "s, n and q")
-    if not 0 <= s <= n:
-        raise ValueError("need 0 <= s <= n")
+    _check_subspace(s, n)
     group = _symplectic_elements(n, q)
     dim = 2 * n
     base = _span(tuple(_root(dim, i) for i in range(s)), dim, q)
@@ -414,7 +408,7 @@ def stabilizer_and_orbit_check(s: int, n: int, q: int = 2) -> OrbitStabilizerRep
     for g in group:
         # g's first s columns are its images of e_1..e_s, so they span
         # g(base); each distinct tuple of them is spanned once
-        cols = tuple(zip(*g))[:s]
+        cols = g[:s]
         image = spans.get(cols)
         if image is None:
             image = spans[cols] = _span(cols, dim, q)

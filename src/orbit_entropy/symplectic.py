@@ -15,6 +15,7 @@ from functools import partial
 from .entropy import CoarseMap, ProbVec
 from .exact import (
     Record,
+    _field_sizes,
     _integral,
     _ln_degree_ratio,
     _log_count,
@@ -45,12 +46,28 @@ __all__ = [
 ]
 
 
-def _check_q(q: int, *sizes: int) -> tuple[int, ...]:
-    # q and the sizes after it as ints, by the rule of exact._integral
-    ints = _integral((q, *sizes), "sizes and q")
-    if ints[0] < 2:
-        raise ValueError("field size q must be at least 2")
-    return ints
+# q and the sizes after it as ints, q >= 2; the oracle shares the checks below
+_check_q = partial(_field_sizes, what="sizes and q")
+
+
+def _check_gl_rank(m: int) -> None:
+    if m < 0:
+        raise ValueError("m must be nonnegative")
+
+
+def _check_subspace(s: int, n: int) -> None:
+    if not 0 <= s <= n:
+        raise ValueError("need 0 <= s <= n")
+
+
+def _check_flag_shape(increments: Iterable[int], n: int) -> tuple[int, ...]:
+    # the increments as ints, each positive, their total at most n
+    increments = _integral(increments, "flag increments")
+    if any(m < 1 for m in increments):
+        raise ValueError("flag increments must be positive")
+    if sum(increments) > n:
+        raise ValueError("total isotropic dimension cannot exceed n")
+    return increments
 
 
 def _c_multiples(k: int, d: int) -> int:
@@ -92,8 +109,7 @@ def _log_flag_count(blocks: Sequence[int], n: int, q: int) -> float:
 def gl_order(m: int, q: int) -> int:
     """Order of GL_m(F_q); 1 when m = 0."""
     q, m = _check_q(q, m)
-    if m < 0:
-        raise ValueError("m must be nonnegative")
+    _check_gl_rank(m)
     return _order(_reductive_order(_gl_degrees(m)), q)
 
 
@@ -110,8 +126,7 @@ def unipotent_radical_order(s: int, n: int, q: int) -> int:
     """q^{s(s+1)/2 + 2s(n-s)}: the kernel of the stabilizer of an
     s-dimensional isotropic subspace acting on its associated graded."""
     q, s, n = _check_q(q, s, n)
-    if not 0 <= s <= n:
-        raise ValueError("need 0 <= s <= n")
+    _check_subspace(s, n)
     power, levi = _flag_stabilizer_order((s,), n)
     return q ** (power - _reductive_order(levi)[0])
 
@@ -120,8 +135,7 @@ def ig_count(s: int, n: int, q: int) -> int:
     """Number of s-dimensional totally isotropic subspaces of a
     2n-dimensional symplectic space over F_q."""
     q, s, n = _check_q(q, s, n)
-    if not 0 <= s <= n:
-        raise ValueError("need 0 <= s <= n")
+    _check_subspace(s, n)
     return _flag_count((s,), n, q)
 
 
@@ -137,15 +151,10 @@ class FlagType(Record):
     q: int
 
     def __init__(self, increments: Iterable[int], n: int, q: int) -> None:
-        increments = _integral(increments, "flag increments")
         q, n = _check_q(q, n)
         if n < 1:
             raise ValueError("half-dimension n must be positive")
-        if any(m < 1 for m in increments):
-            raise ValueError("flag increments must be positive")
-        if sum(increments) > n:
-            raise ValueError("total isotropic dimension cannot exceed n")
-        self._set_fields(increments, n, q)
+        self._set_fields(_check_flag_shape(increments, n), n, q)
 
 
 def isotropic_flag_count(ft: FlagType) -> int:

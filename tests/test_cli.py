@@ -1,6 +1,7 @@
 """Command line contract: byte-exact golden outputs, exit codes, stream
 separation, and determinism."""
 
+import decimal
 import hashlib
 import json
 import math
@@ -281,6 +282,13 @@ def test_inadmissible_schedule_point_is_named(capsys):
     )
     assert code == 3
     assert "9" in err
+    # the schedule point is refused by the rule, and with the message, of
+    # the count it would take
+    count = run_cli(
+        ["count", "reflection", "--family", "B", "--dist", "1/2,1/2", "--n", "9"], capsys
+    )
+    assert (code, out, err) == count
+    assert err == "error: n=9 does not make 1/2 integral\n"
 
 
 def test_small_blocks_are_rejected_for_reflection_schedules(capsys):
@@ -754,6 +762,20 @@ def test_int_str_is_str_around_the_crossover():
     with _unlimited_int_digits():
         for v in values:
             assert cli._int_str(v) == str(v), v
+
+
+def test_int_str_ignores_and_keeps_the_callers_context():
+    # a caller's low precision and floor rounding would drop digits; the
+    # conversion uses exact's own context and leaves the caller's as it was
+    bits = cli._DECIMAL_STR_BITS
+    values = [2 ** (bits - 1) - 1, 2**bits - 1, 2**bits, 3**40_000, -(7**30_000)]
+    with _unlimited_int_digits(), decimal.localcontext() as ctx:
+        ctx.prec, ctx.rounding = 5, decimal.ROUND_FLOOR
+        ctx.clear_flags()
+        texts = [cli._int_str(v) for v in values]
+        assert (ctx.prec, ctx.rounding) == (5, decimal.ROUND_FLOOR)
+        assert not any(ctx.flags.values())
+        assert texts == [str(v) for v in values]
 
 
 @pytest.mark.parametrize("seed", range(4))

@@ -407,9 +407,9 @@ def test_q_multinomial_rejects_bad_input():
 @pytest.mark.parametrize(
     "exponents,q,message",
     [
-        ([0, 1], 1, "q must be at least 2"),
-        ([0, 1, 1], 0, "q must be at least 2"),
-        ([0, 1], -2, "q must be at least 2"),
+        ([0, 1], 1, "field size q must be at least 2"),
+        ([0, 1, 1], 0, "field size q must be at least 2"),
+        ([0, 1], -2, "field size q must be at least 2"),
         ([0, 1], 2.5, "field sizes must be integers"),
         ([0, 0, 1.5], 2, "exponents must be integers"),
     ],
@@ -454,7 +454,7 @@ def test_q_multinomial_exponents_leave_the_sum_free():
         # the parts are checked first, then q
         (3, (1, 1), 1, "parts [1, 1] do not sum to n=3"),
         (2, (3, -1), 2.5, "parts must be nonnegative"),
-        (2, (1, 1), 1, "q must be at least 2"),
+        (2, (1, 1), 1, "field size q must be at least 2"),
         (2, (1, 1), 2.5, "field sizes must be integers"),
     ],
 )

@@ -1,9 +1,11 @@
 """The package's modules import one another in one direction only: each
 imports only modules earlier in LAYERS, also in its lazy imports inside
 functions, so no import cycle can form.  Every private function of the
-package is called from the package."""
+package is called from the package, and every message a raise spells out
+is raised at one site, the one statement of its rule."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -78,3 +80,23 @@ def test_every_private_function_has_a_caller_in_the_package():
     }
     defined = set().union(*map(_private_functions, trees))
     assert defined <= used, sorted(defined - used)
+
+
+def _raised_literals(tree):
+    # the string literals passed to each `raise X(...)`, one per site
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call):
+            for arg in node.exc.args:
+                if isinstance(arg, ast.Constant) and isinstance(arg.value, str):
+                    yield arg.value
+
+
+def test_every_raised_message_has_one_site():
+    # each input rule is stated once, so its message is raised at one site
+    sites = Counter(
+        text
+        for path in sorted(PACKAGE.glob("*.py"))
+        for text in _raised_literals(ast.parse(path.read_text()))
+    )
+    repeated = {text: count for text, count in sites.items() if count > 1}
+    assert not repeated, repeated

@@ -175,10 +175,20 @@ def test_oracle_rejects_fractional_inputs():
          "symbol counts must sum to the word length"),
         (lambda: oracle.reflection_length_census("D", 1), "family D requires rank >= 2"),
         (lambda: oracle.enumerate_isotropic_subspaces(2, 1, 2), "need 0 <= s <= n"),
-        (lambda: oracle.enumerate_isotropic_flags((1, 0), 2, 2), "increments must be positive"),
+        (lambda: oracle.enumerate_isotropic_flags((1, 0), 2, 2),
+         "flag increments must be positive"),
         (lambda: oracle.enumerate_isotropic_flags((1, 2), 2, 2),
-         "total dimension cannot exceed n"),
+         "total isotropic dimension cannot exceed n"),
         (lambda: oracle.parabolic_length_census("A", 3, [4]), "node 4 outside 1..3"),
+        # the inputs of the closed forms' rows in test_records'
+        # test_non_integral_scalars_are_rejected, with the same messages.
+        # Named ids keep the ids above unique.
+        pytest.param(lambda: oracle.enumerate_isotropic_subspaces(3, 2, 2),
+                     "need 0 <= s <= n", id="enumerate_isotropic_subspaces-s-above-n"),
+        pytest.param(lambda: oracle.stabilizer_and_orbit_check(3, 2, 2),
+                     "need 0 <= s <= n", id="stabilizer_and_orbit_check-s-above-n"),
+        pytest.param(lambda: oracle.enumerate_general_linear(-1, 2),
+                     "m must be nonnegative", id="enumerate_general_linear-m-negative"),
     ],
 )
 def test_oracle_rejects_fractional_scalars(call, message):
@@ -465,6 +475,10 @@ def test_oracle_verify_closes_each_root_system_once(monkeypatch, capsys):
 ORACLE_PACKAGE_IMPORTS = {
     "group_order",
     "_check_removal",
+    "Diagram",
+    "_check_subspace",
+    "_check_flag_shape",
+    "_check_gl_rank",
     "ig_count",
     "sp_order",
     "_flag_stabilizer_order",

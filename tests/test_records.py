@@ -14,7 +14,7 @@ import pytest
 import orbit_entropy
 from orbit_entropy.dynkin import Diagram, remove_nodes
 from orbit_entropy.entropy import CoarseMap, ProbVec, conditional, pushforward
-from orbit_entropy.exact import IntPolynomial, Record
+from orbit_entropy.exact import IntPolynomial, Record, cyclotomic_product
 from orbit_entropy.oracle import OrbitStabilizerReport
 from orbit_entropy.report import IdentityReport
 from orbit_entropy.symplectic import FlagType
@@ -270,10 +270,27 @@ HALF = ProbVec(("1/2", "1/2"))
         (lambda: conditional(HALF, CoarseMap((1, 2)), 1),
          "coarse map covers 3 entries, vector has 2"),
         (lambda: orbit_entropy.q_factorial(-1, 2), "q_factorial requires k >= 0"),
-        (lambda: orbit_entropy.q_factorial(2, 1), "q must be at least 2"),
+        (lambda: orbit_entropy.q_factorial(2, 1), "field size q must be at least 2"),
         (lambda: orbit_entropy.gl_order(-1, 2), "m must be nonnegative"),
         (lambda: orbit_entropy.sp_order(-1, 2), "n must be nonnegative"),
         (lambda: orbit_entropy.unipotent_radical_order(3, 2, 2), "need 0 <= s <= n"),
+        # each rule has one message, whichever entry point states it; the
+        # oracle's rows in test_oracle's test_oracle_rejects_fractional_scalars
+        # take the same inputs.  Named ids keep the ids above unique.
+        pytest.param(lambda: orbit_entropy.ig_count(3, 2, 2), "need 0 <= s <= n",
+                     id="ig_count-s-above-n"),
+        pytest.param(lambda: FlagType((1, 0), 2, 2), "flag increments must be positive",
+                     id="FlagType-zero-increment"),
+        pytest.param(lambda: cyclotomic_product([0, 1], 1),
+                     "field size q must be at least 2", id="cyclotomic_product-q1"),
+        pytest.param(lambda: orbit_entropy.q_multinomial(2, (1, 1), 1),
+                     "field size q must be at least 2", id="q_multinomial-q1"),
+        pytest.param(lambda: orbit_entropy.gl_order(2, 1),
+                     "field size q must be at least 2", id="gl_order-q1"),
+        pytest.param(lambda: orbit_entropy.sp_order(2, 1),
+                     "field size q must be at least 2", id="sp_order-q1"),
+        pytest.param(lambda: FlagType((1,), 2, 1),
+                     "field size q must be at least 2", id="FlagType-q1"),
     ],
 )
 def test_non_integral_scalars_are_rejected(build, message):

@@ -171,9 +171,11 @@ def symplectic_entropy(dist: ProbVec) -> Fraction:
 def _chain_residual(outer, inner, weight, total, dist: ProbVec, cmap: CoarseMap):
     """outer(P) - (outer(Q) + total(weight(Q_j) * f_j(P|j))), with Q the
     pushforward, P|j the conditional, and f_j inner for each interior block
-    and outer for the last.  It is the additive counterpart of
-    report.chain_rule_check, which the entropies satisfy in the limit of
-    the normalized log counts.  A one-part block contributes a zero term."""
+    and outer for the last.  It is the additive counterpart of the
+    multiplicative chain rule of report.chain_rule_check, which the
+    reflection and symplectic checks prove from degree lists; the
+    entropies satisfy it in the limit of the normalized log counts.  A
+    one-part block contributes a zero term."""
     coarse = pushforward(dist, cmap)
     parts = [
         weight(q) * (outer if j == cmap.m else inner)(conditional(dist, cmap, j))

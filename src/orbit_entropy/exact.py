@@ -145,9 +145,12 @@ def product(values: Iterable[int]) -> int:
     return level[0]
 
 
-def _field_sizes(q: int, *sizes: int, what: str = "field sizes") -> tuple[int, ...]:
-    # q and the sizes after it as ints, by _integral; the one statement of q >= 2
-    ints = _integral((q, *sizes), what)
+def _field_sizes(q: int, *sizes: int) -> tuple[int, ...]:
+    # q and the sizes after it as ints, by the rule of _integral; the one
+    # statement of an integral q and of q >= 2, whichever entry point asks
+    if int(q) != q:
+        raise ValueError("field size q must be an integer")
+    ints = (int(q), *_integral(sizes, "sizes"))
     if ints[0] < 2:
         raise ValueError("field size q must be at least 2")
     return ints
@@ -155,10 +158,10 @@ def _field_sizes(q: int, *sizes: int, what: str = "field sizes") -> tuple[int, .
 
 def q_factorial(k: int, q: int) -> int:
     """Product (q^k - 1)(q^{k-1} - 1) ... (q - 1); empty product for k = 0."""
-    k, q = _integral((k, q), "k and q")
+    exponents = q_multinomial_exponents(k, ())
     if k < 0:
         raise ValueError("q_factorial requires k >= 0")
-    return cyclotomic_product(q_multinomial_exponents(k, ()), q)
+    return cyclotomic_product(exponents, q)
 
 
 def _cyclotomic_values(m: int, q: int) -> list[int]:

@@ -17,9 +17,9 @@ columns of a group element span its image of the coordinate subspace.
 Nothing here reuses the closed forms it exists to validate; the only
 closed-form imports are the expected sizes used as closure caps and the
 reference values packed into the orbit report. Its input checks are
-dynkin's and symplectic's, so the oracle and the closed forms refuse the
-same inputs with the same messages; only the caps and the prime-field
-rule are its own.
+exact's, dynkin's and symplectic's, so the oracle and the closed forms
+refuse the same inputs with the same messages; only the caps and the
+prime-field rule are its own.
 
 Hard caps (word length 10, rank 4, half-dimension 2, prime fields F_2
 and F_3) are constants; exceeding one is an error, not a best-effort
@@ -34,7 +34,7 @@ import operator
 from collections.abc import Iterable, Sequence
 
 from .dynkin import Diagram, _check_removal, group_order
-from .exact import InexactDivisionError, IntPolynomial, Record, _integral
+from .exact import InexactDivisionError, IntPolynomial, Record, _field_sizes, _integral
 from .symplectic import _check_flag_shape, _check_gl_rank, _check_subspace
 from .symplectic import ig_count, sp_order
 from .verify import _flag_stabilizer_order, _order
@@ -110,30 +110,35 @@ def _simple_roots(family: str, rank: int) -> list[tuple[int, ...]]:
 def _positive_roots(simples: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
     # every root is the image of a simple root under the simple
     # reflections; the positive ones lead with a positive entry
+    reflections = list(map(_reflection, simples))
     roots = set(simples)
     frontier = roots
     while frontier:
-        frontier = {_reflect(r, a) for r in frontier for a in simples} - roots
+        frontier = {s(r) for r in frontier for s in reflections} - roots
         roots |= frontier
     return sorted(r for r in roots if next(x for x in r if x) > 0)
 
 
-def _reflect(v: tuple[int, ...], alpha: tuple[int, ...]) -> tuple[int, ...]:
-    num = 2 * sum(a * b for a, b in zip(v, alpha))
+def _reflection(alpha: tuple[int, ...]):
+    # the reflection in alpha as a function of v; alpha . alpha is summed
+    # once, for every v
     den = sum(a * a for a in alpha)
-    c = num // den
-    if c * den != num:
-        raise InexactDivisionError("non-integral reflection coefficient")
-    return tuple(a - c * b for a, b in zip(v, alpha))
+
+    def reflect(v: tuple[int, ...]) -> tuple[int, ...]:
+        num = 2 * sum(map(operator.mul, v, alpha))
+        c = num // den
+        if c * den != num:
+            raise InexactDivisionError("non-integral reflection coefficient")
+        return tuple(a - c * b for a, b in zip(v, alpha))
+
+    return reflect
 
 
-def _root_permutation(
-    alpha: tuple[int, ...], pos: list[tuple[int, ...]], index: dict
-) -> tuple[int, ...]:
+def _root_permutation(reflect, pos: list[tuple[int, ...]], index: dict) -> tuple[int, ...]:
     # signed 1-based images of each positive root under the reflection
     out = []
     for rho in pos:
-        image = _reflect(rho, alpha)
+        image = reflect(rho)
         if image in index:
             out.append(index[image] + 1)
         else:
@@ -148,7 +153,9 @@ def _root_system(family: str, rank: int) -> tuple[int, tuple[tuple[int, ...], ..
     simples = _simple_roots(family, rank)
     pos = _positive_roots(simples)
     index = {r: i for i, r in enumerate(pos)}
-    return len(pos), tuple(_root_permutation(a, pos, index) for a in simples)
+    return len(pos), tuple(
+        _root_permutation(_reflection(a), pos, index) for a in simples
+    )
 
 
 def _close_group(
@@ -296,7 +303,7 @@ def enumerate_isotropic_subspaces(s: int, n: int, q: int) -> int:
 def enumerate_isotropic_flags(increments: Sequence[int], n: int, q: int) -> int:
     """Count of nested isotropic chains with the given dimension
     increments, by counting containments between enumerated subspaces."""
-    n, q = _integral((n, q), "n and q")
+    q, n = _field_sizes(q, n)
     _check_field(q)
     if n > MAX_HALF_DIM:
         raise ValueError(f"half-dimension capped at {MAX_HALF_DIM}")
@@ -316,7 +323,7 @@ def enumerate_isotropic_flags(increments: Sequence[int], n: int, q: int) -> int:
 def enumerate_general_linear(m: int, q: int) -> int:
     """Count of invertible m-by-m matrices over F_q, by listing their
     columns one at a time, each outside the span of the columns before it."""
-    m, q = _integral((m, q), "m and q")
+    q, m = _field_sizes(q, m)
     _check_field(q)
     _check_gl_rank(m)
     if q ** (m * m) > 70000:
@@ -340,7 +347,7 @@ def enumerate_general_linear(m: int, q: int) -> int:
 def _symplectic_elements(n: int, q: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
     # the whole group as column tuples, filled in column by column
     # depth-first under the form constraints; enumerated once per (n, q)
-    n, q = _integral((n, q), "n and q")
+    q, n = _field_sizes(q, n)
     _check_field(q)
     if (n, q) not in SP_FEASIBLE:
         raise ValueError(f"enumeration feasible only for (n, q) in {sorted(SP_FEASIBLE)}")
@@ -397,7 +404,7 @@ def stabilizer_and_orbit_check(s: int, n: int, q: int = 2) -> OrbitStabilizerRep
     """Acts the enumerated group on the coordinate isotropic subspace
     spanned by the first s basis vectors and compares the orbit size with
     ig_count and the stabilizer size with the |P| its proof uses."""
-    s, n, q = _integral((s, n, q), "s, n and q")
+    q, s, n = _field_sizes(q, s, n)
     _check_subspace(s, n)
     group = _symplectic_elements(n, q)
     dim = 2 * n

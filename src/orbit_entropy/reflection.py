@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from functools import partial
 
-from .dynkin import ParabolicType, _check_rank, flag_factors, poincare_quotient
+from .dynkin import ParabolicType, _check_rank, _sizes, flag_factors, poincare_quotient
 from .entropy import CoarseMap, ProbVec
 from .exact import (
     InexactDivisionError,
@@ -21,7 +21,7 @@ from .exact import (
     _log_count,
     multinomial,
 )
-from .report import IdentityReport, chain_rule_check
+from .report import IdentityReport, _proved_chain_rule
 
 __all__ = [
     "orbit_count",
@@ -111,14 +111,30 @@ def normalized_log_orbit(family: str, n: int, dist: ProbVec) -> float:
     return _orbit(family, n, dist, _log_index, 0.0) / n
 
 
+def _bracket_orders(family: str, rank: int, factors: ParabolicType):
+    # poincare_quotient's two bracket-size lists as the verify.Quotient of
+    # prod (t^a - 1) over each, with no power of t; the brackets differ
+    # from these products only in powers of Phi_1 = t - 1
+    return (0, _sizes([(family, rank)])), (0, _sizes(factors))
+
+
+def _grading(count, family: str):
+    # a count of the family and the bracket sizes that prove its chain rule
+    return (
+        partial(count, family),
+        partial(_orbit, family, quotient=_bracket_orders, one=((0, []), (0, []))),
+    )
+
+
 def coarsening_cardinality_check(
     family: str, n: int, dist: ProbVec, cmap: CoarseMap
 ) -> IdentityReport:
     """The coarsening identity for the orbit cardinalities: interior
     blocks contribute type-A subquotients, the last block one of the
-    family itself."""
-    return chain_rule_check(
-        partial(orbit_count, family), partial(orbit_count, "A"), n, dist, cmap
+    family itself.  It is proved as the identity of the length generating
+    functions below, which it is at t = 1, so only lhs is counted."""
+    return _proved_chain_rule(
+        _grading(orbit_count, family), _grading(orbit_count, "A"), 2, n, dist, cmap
     )
 
 
@@ -126,7 +142,10 @@ def coarsening_poincare_check(
     family: str, n: int, dist: ProbVec, cmap: CoarseMap
 ) -> IdentityReport:
     """Same identity one level up, for the length generating functions;
-    the report carries the two polynomials and their difference."""
-    return chain_rule_check(
-        partial(orbit_poincare, family), partial(orbit_poincare, "A"), n, dist, cmap
+    the report carries the two polynomials and their difference.  Each
+    side's bracket sizes prove it, so only lhs is divided out; the right
+    side is built and multiplied out, as report.chain_rule_check does,
+    only if that proof fails."""
+    return _proved_chain_rule(
+        _grading(orbit_poincare, family), _grading(orbit_poincare, "A"), 2, n, dist, cmap
     )

@@ -22,7 +22,7 @@ from .exact import (
     cyclotomic_product,
     q_multinomial,
 )
-from .report import IdentityReport, chain_rule_check
+from .report import IdentityReport, _proved_chain_rule
 from .verify import (
     _flag_stabilizer_order,
     _gl_degrees,
@@ -44,10 +44,6 @@ __all__ = [
     "normalized_logq_quotient",
     "symplectic_chain_identity_check",
 ]
-
-
-# q and the sizes after it as ints, q >= 2; the oracle shares the checks below
-_check_q = partial(_field_sizes, what="sizes and q")
 
 
 def _check_gl_rank(m: int) -> None:
@@ -108,7 +104,7 @@ def _log_flag_count(blocks: Sequence[int], n: int, q: int) -> float:
 
 def gl_order(m: int, q: int) -> int:
     """Order of GL_m(F_q); 1 when m = 0."""
-    q, m = _check_q(q, m)
+    q, m = _field_sizes(q, m)
     _check_gl_rank(m)
     return _order(_reductive_order(_gl_degrees(m)), q)
 
@@ -116,7 +112,7 @@ def gl_order(m: int, q: int) -> int:
 def sp_order(n: int, q: int) -> int:
     """Order of the symplectic group of a 2n-dimensional space over F_q;
     n = 0 gives 1 so tail factors of factorizations stay uniform."""
-    q, n = _check_q(q, n)
+    q, n = _field_sizes(q, n)
     if n < 0:
         raise ValueError("n must be nonnegative")
     return _order(_symplectic_order(n), q)
@@ -125,7 +121,7 @@ def sp_order(n: int, q: int) -> int:
 def unipotent_radical_order(s: int, n: int, q: int) -> int:
     """q^{s(s+1)/2 + 2s(n-s)}: the kernel of the stabilizer of an
     s-dimensional isotropic subspace acting on its associated graded."""
-    q, s, n = _check_q(q, s, n)
+    q, s, n = _field_sizes(q, s, n)
     _check_subspace(s, n)
     power, levi = _flag_stabilizer_order((s,), n)
     return q ** (power - _reductive_order(levi)[0])
@@ -134,7 +130,7 @@ def unipotent_radical_order(s: int, n: int, q: int) -> int:
 def ig_count(s: int, n: int, q: int) -> int:
     """Number of s-dimensional totally isotropic subspaces of a
     2n-dimensional symplectic space over F_q."""
-    q, s, n = _check_q(q, s, n)
+    q, s, n = _field_sizes(q, s, n)
     _check_subspace(s, n)
     return _flag_count((s,), n, q)
 
@@ -151,7 +147,7 @@ class FlagType(Record):
     q: int
 
     def __init__(self, increments: Iterable[int], n: int, q: int) -> None:
-        q, n = _check_q(q, n)
+        q, n = _field_sizes(q, n)
         if n < 1:
             raise ValueError("half-dimension n must be positive")
         self._set_fields(_check_flag_shape(increments, n), n, q)
@@ -168,7 +164,7 @@ def sp_quotient_closed(n: int, dist: ProbVec, q: int) -> int:
     the q-multinomial of all parts times the tail product of (q^j + 1)
     for j from n*p_k + 1 to n: the number of isotropic flags of shape
     (n*p_1, ..., n*p_{k-1})."""
-    q, n = _check_q(q, n)
+    q, n = _field_sizes(q, n)
     return _flag_count(dist.scaled_counts(n)[:-1], n, q)
 
 
@@ -185,8 +181,23 @@ def normalized_logq_quotient(n: int, dist: ProbVec, q: int) -> float:
     one math.log returns for the count, or the count is built when the
     bound cannot fix it.
     """
-    q, n = _check_q(q, n)
+    q, n = _field_sizes(q, n)
     return _log_flag_count(dist.scaled_counts(n)[:-1], n, q) / (n * n * math.log(q))
+
+
+def _flag_orders(n: int, dist: ProbVec):
+    # sp_quotient_closed(n, dist, q) as the verify.Quotient (|Sp_n|, |P|)
+    return _symplectic_order(n), _flag_stabilizer_order(dist.scaled_counts(n)[:-1], n)
+
+
+def _gl_flag_orders(m: int, dist: ProbVec):
+    # q_multinomial(m, dist.scaled_counts(m), q) as the verify.Quotient
+    # (|GL_m|, |P|), P the parabolic of GL_m fixing a flag with those
+    # increments: its Levi has the degrees of the GL blocks, and its power
+    # of q is that of GL_m, as in _flag_stabilizer_order
+    group = _reductive_order(_gl_degrees(m))
+    levi = [j for c in dist.scaled_counts(m) for j in _gl_degrees(c)]
+    return group, (group[0], levi)
 
 
 def symplectic_chain_identity_check(
@@ -195,9 +206,12 @@ def symplectic_chain_identity_check(
     """Exact integer identity: the fine quotient equals the coarse
     quotient times the q-multinomial of each interior block times the
     last block's own quotient, whose tail supplies the product of
-    (q^j + 1) for j from n*p_k + 1 to n*q_m."""
-    return chain_rule_check(
-        lambda m, d: sp_quotient_closed(m, d, q),
-        lambda m, d: q_multinomial(m, d.scaled_counts(m), q),
-        n, dist, cmap,
+    (q^j + 1) for j from n*p_k + 1 to n*q_m.  It is proved as an identity
+    of polynomials in q from the group orders of each side, so only the
+    fine quotient is counted; the right side is built and multiplied out,
+    as report.chain_rule_check does, only if that proof fails."""
+    return _proved_chain_rule(
+        (lambda m, d: sp_quotient_closed(m, d, q), _flag_orders),
+        (lambda m, d: q_multinomial(m, d.scaled_counts(m), q), _gl_flag_orders),
+        1, n, dist, cmap,
     )

@@ -33,10 +33,19 @@ s = sum m, written through group orders, is this factorization for the
 same P, so one proof covers both.  Any failure raises
 ``InexactDivisionError``.  The public orders ``gl_order``, ``sp_order``
 and ``unipotent_radical_order`` evaluate the same group orders.
+
+The same bookkeeping proves the coarsening identities
+|G/P_fine| = |G/P_coarse| * prod_j |L_j/P_j| without building any of
+their counts: ``_proves_coarsening`` takes each side as quotients of
+degree lists and compares the net exponent of each Phi_d.  It serves
+the symplectic chain rule, over orders in q, and the reflection chain
+rules, over the bracket sizes of the length generating functions, whose
+brackets [a]_t = (t^a - 1) / (t - 1) carry no Phi_1.
 """
 
 from __future__ import annotations
 
+import itertools
 from collections.abc import Iterable, Sequence
 
 from .dynkin import _bracket_sizes
@@ -51,6 +60,8 @@ PRIMES = (2**61 - 2373, 2**61 - 3153, 2**61 - 7245)
 
 # q^a * prod(q^j - 1 for j in js), as (a, js)
 GroupOrder = tuple[int, list[int]]
+# a count |G| / |H|, as the orders (|G|, |H|)
+Quotient = tuple[GroupOrder, GroupOrder]
 
 
 def _reductive_order(degrees: Iterable[int]) -> GroupOrder:
@@ -73,6 +84,22 @@ def _flag_stabilizer_order(blocks: Sequence[int], n: int) -> GroupOrder:
     return _symplectic_order(n)[0], levi
 
 
+def _phi_exponents(terms: Iterable[tuple[int, Quotient]]) -> tuple[int, list[int]]:
+    # (a, e) with the product of the quotients, each raised to its sign
+    # (+1 or -1), equal to q^a prod Phi_d(q)^{e[d]}: a degree j of a group
+    # adds the sign to e_d for every d | j, one of a stabilizer subtracts
+    # it; e[0] = 0 and len(e) is one more than the largest degree
+    power, net = 0, [0]
+    for sign, ((a, js), (b, ks)) in terms:
+        power += sign * (a - b)
+        net += [0] * (max([*js, *ks], default=0) + 1 - len(net))
+        for j in js:
+            net[j] += sign
+        for k in ks:
+            net[k] -= sign
+    return power, [0] + [sum(net[d::d]) for d in range(1, len(net))]
+
+
 def check_flag_exponents(
     blocks: Sequence[int], n: int, exponents: Sequence[int]
 ) -> tuple[GroupOrder, GroupOrder]:
@@ -80,17 +107,24 @@ def check_flag_exponents(
     Phi_d(q)^{exponents[d]} is |Sp_n| / |P| as polynomials in q, for the P
     fixing a flag with increments ``blocks``; returns the orders (|P|, |Sp_n|)."""
     stabilizer, group = _flag_stabilizer_order(blocks, n), _symplectic_order(n)
-    (a, js), (b, ks) = stabilizer, group
-    net = [0] * (max(ks, default=0) + 1)
-    for k in ks:
-        net[k] += 1
-    for j in js:
-        net[j] -= 1
-    if a != b or list(exponents) != [0] + [sum(net[d::d]) for d in range(1, len(net))]:
+    power, net = _phi_exponents([(1, (group, stabilizer))])
+    if power or list(exponents) != net:
         raise InexactDivisionError(
             "flag count exponents fail the stabilizer factorization"
         )
     return stabilizer, group
+
+
+def _proves_coarsening(fine: Quotient, parts: Iterable[Quotient], least: int) -> bool:
+    """Whether the count ``fine`` is the product of the counts ``parts`` as
+    polynomials: each is a quotient of group orders, the powers of q of
+    both sides agree, and so does the exponent of each Phi_d with d >=
+    ``least``.  The reflection chain rules pass least = 2, since their
+    brackets carry no Phi_1; the orders in q pass least = 1.  A False
+    proves nothing: the counts can still agree at one value of q or t."""
+    terms = itertools.chain([(1, fine)], ((-1, part) for part in parts))
+    power, net = _phi_exponents(terms)
+    return not power and not any(net[least:])
 
 
 def _order_mod(order: GroupOrder, q: int, p: int) -> int:

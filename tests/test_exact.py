@@ -410,7 +410,8 @@ def test_q_multinomial_rejects_bad_input():
         ([0, 1], 1, "field size q must be at least 2"),
         ([0, 1, 1], 0, "field size q must be at least 2"),
         ([0, 1], -2, "field size q must be at least 2"),
-        ([0, 1], 2.5, "field sizes must be integers"),
+        # the id this row had before a non-integral q got one message
+        pytest.param([0, 1], 2.5, "field size q must be an integer", id="exponents3-2.5-field sizes must be integers"),
         ([0, 0, 1.5], 2, "exponents must be integers"),
     ],
 )
@@ -455,7 +456,9 @@ def test_q_multinomial_exponents_leave_the_sum_free():
         (3, (1, 1), 1, "parts [1, 1] do not sum to n=3"),
         (2, (3, -1), 2.5, "parts must be nonnegative"),
         (2, (1, 1), 1, "field size q must be at least 2"),
-        (2, (1, 1), 2.5, "field sizes must be integers"),
+        # the id this row had before a non-integral q got one message
+        pytest.param(2, (1, 1), 2.5, "field size q must be an integer",
+                     id="2-parts3-2.5-field sizes must be integers"),
     ],
 )
 def test_q_multinomial_messages(n, parts, q, message):

@@ -41,7 +41,10 @@ class ProbVec(Record):
     probs: tuple[Fraction, ...]
 
     def __init__(self, entries: Iterable[Fraction | int | str]) -> None:
-        ps = tuple(Fraction(p) for p in entries)
+        try:
+            ps = tuple(Fraction(p) for p in entries)
+        except (OverflowError, ValueError):
+            raise ValueError("probabilities must be finite numbers") from None
         if not ps:
             raise ValueError("probability vector must be nonempty")
         if any(p <= 0 for p in ps):

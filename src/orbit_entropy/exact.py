@@ -93,9 +93,12 @@ def exact_div(numerator: int, denominator: int) -> int:
 
 
 def _integral(values: Iterable[object], what: str) -> tuple[int, ...]:
-    # the values as ints: True and 2.0 pass, 2.7 raises ValueError
+    # the values as ints: True and 2.0 pass; 2.7, ±inf and NaN raise ValueError
     given = tuple(values)
-    ints = tuple(map(int, given))
+    try:
+        ints = tuple(map(int, given))
+    except (OverflowError, ValueError):  # int() of ±inf or NaN
+        ints = None
     if ints != given:
         raise ValueError(f"{what} must be integers")
     return ints
@@ -148,9 +151,11 @@ def product(values: Iterable[int]) -> int:
 def _field_sizes(q: int, *sizes: int) -> tuple[int, ...]:
     # q and the sizes after it as ints, by the rule of _integral; the one
     # statement of an integral q and of q >= 2, whichever entry point asks
-    if int(q) != q:
-        raise ValueError("field size q must be an integer")
-    ints = (int(q), *_integral(sizes, "sizes"))
+    try:
+        (q,) = _integral((q,), "field sizes")
+    except ValueError:
+        raise ValueError("field size q must be an integer") from None
+    ints = (q, *_integral(sizes, "sizes"))
     if ints[0] < 2:
         raise ValueError("field size q must be at least 2")
     return ints
@@ -264,43 +269,24 @@ class IntPolynomial(Record):
         return self + (-other)
 
     def __mul__(self, other: "IntPolynomial") -> "IntPolynomial":
-        # Kronecker substitution: evaluate both factors at t = X, make one
-        # multiplication, and read the product's coefficients back from its
-        # w-wide slots.  When a factor has a negative coefficient, each slot
-        # is offset by half its range, so one decoding serves signed
-        # coefficients; a product of nonnegative factors already has every
-        # slot in [0, bound], below half its range.  X = 2^(8w) with an int
-        # product.  From _DECIMAL_MUL_BITS in the shorter factor, counted as
-        # its length times the bits of the coefficient bound, X = 10^w with
-        # one Decimal product, which libmpdec makes by a number-theoretic
-        # transform where CPython's ints use Karatsuba; a bound of at most
-        # _DECIMAL_SLOT_BITS keeps every slot below 640 digits, the fewest
-        # str and int convert under any int_max_str_digits setting.
+        # Kronecker substitution: evaluate both factors at t = 2^(8w), make
+        # one int multiplication, and read the product's coefficients back
+        # from its w-byte slots.  When a factor has a negative coefficient,
+        # each slot is offset by half its range, so one decoding serves
+        # signed coefficients; a product of nonnegative factors already has
+        # every slot in [0, bound], below half its range.
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return IntPolynomial()
-        shorter = min(len(a), len(b))
-        bound = shorter * max(map(abs, a)) * max(map(abs, b))
-        bits = bound.bit_length()
+        bound = min(len(a), len(b)) * max(map(abs, a)) * max(map(abs, b))
+        width = bound.bit_length() // 8 + 1
         size = len(a) + len(b) - 1
-        signed = min(a) < 0 or min(b) < 0
-        if shorter * bits < _DECIMAL_MUL_BITS or bits > _DECIMAL_SLOT_BITS:
-            width = bits // 8 + 1
-            half = 1 << (8 * width - 1)
-            packed = _pack(a, width) * _pack(b, width)
-            if signed:
-                packed += int.from_bytes((bytes(width - 1) + b"\x80") * size, "little")
-        else:
-            # 10^w > 2 bound
-            width = len(str(2 * bound))
-            half = 5 * 10 ** (width - 1)
-            ctx = _EXACT_CONTEXT
-            x, y = _pack(a, width, True), _pack(b, width, True)
-            if signed:
-                packed = ctx.fma(x, y, ctx.create_decimal(str(half) * size))
-            else:
-                packed = ctx.multiply(x, y)
-        return IntPolynomial(_unpack(packed, width, size, half if signed else 0))
+        packed = _pack(a, width) * _pack(b, width)
+        offset = 0
+        if min(a) < 0 or min(b) < 0:
+            offset = 1 << (8 * width - 1)
+            packed += int.from_bytes(offset.to_bytes(width, "little") * size, "little")
+        return IntPolynomial(_unpack(packed, width, size, offset))
 
     def __call__(self, x: int) -> int:
         # divide and conquer: pair neighbours as c_i + x^h c_{i+1}, h = 1, 2,
@@ -318,54 +304,28 @@ class IntPolynomial(Record):
         return level[0] if level else 0
 
 
-# The context of the base-10^w products: MAX_PREC, and any operation that
-# would round raises; no code here uses the thread's context.
+# The context of cli._int_str's decimal arithmetic: MAX_PREC, and any
+# operation that would round raises; no code here uses the thread's context.
 _EXACT_CONTEXT = decimal.Context(
     prec=decimal.MAX_PREC,
     Emax=decimal.MAX_EMAX,
     Emin=decimal.MIN_EMIN,
     traps=[decimal.Inexact, decimal.Rounded, decimal.InvalidOperation, decimal.Overflow],
 )
-# Size of the shorter factor, its length times the bit length of the
-# coefficient bound, from which IntPolynomial.__mul__ multiplies in Decimal.
-# Measured on Python 3.11.7 on an Intel Xeon, int against Decimal product,
-# best of 7, on 135 shapes of random coefficients (shorter factor 50 to
-# 1,200 long, longer 1, 4 or 12 times that, 20 to 400 bits): of the 72
-# shapes below 2^16 the Decimal product was faster in 7; of the 15 from 2^16
-# to 120,000 in 9, the lopsided ones; of the 48 above in all but one.
-# 300 x 300 at 20 bits (14,700): 0.93 against 1.66 ms; at 400 bits
-# (242,700): 19.5 against 12.1 ms; 4,800 x 1,200 at 200 bits: 255 against
-# 73 ms.
-_DECIMAL_MUL_BITS = 1 << 16
-# 2 * bound < 2^2001 < 10^603
-_DECIMAL_SLOT_BITS = 2000
 
 
-def _pack(coeffs: Sequence[int], width: int, digits: bool = False) -> int | decimal.Decimal:
-    # the polynomial's value at t = X, every |c| < X: an int at
-    # X = 2^(8 * width), or with digits a Decimal at X = 10^width
-    def join(cs: Sequence[int]) -> int | decimal.Decimal:
-        if digits:
-            text = "".join([str(c).zfill(width) for c in reversed(cs)])
-            return _EXACT_CONTEXT.create_decimal(text)
+def _pack(coeffs: Sequence[int], width: int) -> int:
+    # the polynomial's value at t = 2^(8 * width), every |c| < 2^(8 * width)
+    def join(cs: Sequence[int]) -> int:
         return int.from_bytes(b"".join([c.to_bytes(width, "little") for c in cs]), "little")
 
     if min(coeffs) >= 0:
         return join(coeffs)
-    pos, neg = join([max(c, 0) for c in coeffs]), join([max(-c, 0) for c in coeffs])
-    return _EXACT_CONTEXT.subtract(pos, neg) if digits else pos - neg
+    return join([max(c, 0) for c in coeffs]) - join([max(-c, 0) for c in coeffs])
 
 
-def _unpack(
-    packed: int | decimal.Decimal, width: int, count: int, offset: int = 0
-) -> list[int]:
-    # the count width-wide slots packed fills, lowest first, each less
-    # offset: width-byte little-endian slots of an int, or width-digit
-    # fields of a nonnegative integral Decimal
-    if isinstance(packed, decimal.Decimal):
-        raw = str(packed).zfill(count * width)
-        fields = range(len(raw) - width, -1, -width)
-        return [int(raw[i : i + width]) - offset for i in fields]
+def _unpack(packed: int, width: int, count: int, offset: int = 0) -> list[int]:
+    # the count width-byte slots of packed, lowest first, each less offset
     raw = packed.to_bytes(count * width, "little")
     slots = range(0, len(raw), width)
     return [int.from_bytes(raw[i : i + width], "little") - offset for i in slots]

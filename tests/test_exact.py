@@ -169,10 +169,10 @@ def test_polynomial_evaluation_at_high_degree():
 
 
 def _schoolbook(a, b):
+    # one row of the long multiplication per coefficient of b
     out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        for j, cb in enumerate(b):
-            out[i + j] += ca * cb
+    for j, cb in enumerate(b):
+        out[j : j + len(a)] = [o + ca * cb for o, ca in zip(out[j : j + len(a)], a)]
     return IntPolynomial(out)
 
 
@@ -197,6 +197,15 @@ def test_polynomial_product_edge_cases():
     q = IntPolynomial((2**64 - 1,) * 9)
     assert (q * q).coeffs == _schoolbook(q.coeffs, q.coeffs).coeffs
     assert (-q * q).coeffs == tuple(-c for c in (q * q).coeffs)
+    # a coefficient of -bound, with 2 bound just below 2^240, the range of
+    # its 30-byte slot: the slot's offset must be half that range, 2^239
+    c = math.isqrt((2**239 - 1) // 300)
+    r = IntPolynomial((c,) * 300)
+    bound = 300 * c * c
+    assert bound < 2**239 <= 2 * bound
+    ramp = [min(k + 1, 599 - k) * c * c for k in range(599)]
+    assert (r * -r).coeffs == tuple(-x for x in ramp)
+    assert (r * r).coeffs == tuple(ramp)
 
 
 def test_unpack_reads_back_the_packed_slots():
@@ -208,22 +217,12 @@ def test_unpack_reads_back_the_packed_slots():
     assert exact._unpack(packed, 2, 4, half) == signed
 
 
-def test_unpack_reads_back_the_digit_fields():
-    coeffs = [5, 0, 999, 17]
-    assert exact._unpack(exact._pack(coeffs, 3, True), 3, 4) == coeffs
-    # signed coefficients, each field offset by half its range
-    signed, half = [-3, 7, 0, -500], 500
-    packed = exact._pack(signed, 3, True) + decimal.Decimal("500" * 4)
-    assert exact._unpack(packed, 3, 4, half) == signed
-
-
 def _signed(rng, count, bits):
     return [rng.choice((-1, 1)) * rng.getrandbits(bits) for _ in range(count)]
 
 
 def _mul_shapes(side):
-    # factor pairs whose shorter factor is below the Decimal crossover
-    # (side 0) or above it (side 1), at most _DECIMAL_SLOT_BITS wide
+    # factor pairs with narrower (side 0) or wider (side 1) coefficients
     rng = random.Random(side)
     wide, narrow, lopsided = ((50, 40, 25), (150, 200, 40))[side]
     return {
@@ -237,61 +236,26 @@ def _mul_shapes(side):
     }
 
 
+# each shape against the schoolbook product, in both orders; the name and
+# ids are those the test had when it compared a Decimal product with this one
 @pytest.mark.parametrize("side", (0, 1))
 @pytest.mark.parametrize("shape", ("signed", "zero interior", "lopsided", "single"))
-def test_decimal_product_matches_the_int_product(monkeypatch, side, shape):
+def test_decimal_product_matches_the_int_product(side, shape):
     a, b = map(IntPolynomial, _mul_shapes(side)[shape])
-    pack, digits = exact._pack, []
-
-    def spy(coeffs, width, *base10):
-        digits.append(bool(base10))
-        return pack(coeffs, width, *base10)
-
-    monkeypatch.setattr(exact, "_pack", spy)
     got = a * b
-    shorter = min(len(a.coeffs), len(b.coeffs))
-    bound = shorter * max(map(abs, a.coeffs)) * max(map(abs, b.coeffs))
-    chosen = shorter * bound.bit_length() >= exact._DECIMAL_MUL_BITS
-    assert digits == [chosen] * 2 and chosen == (side == 1 and shape != "single")
-    assert bound.bit_length() <= exact._DECIMAL_SLOT_BITS
-    products = {}
-    for forced in (math.inf, 0):
-        monkeypatch.setattr(exact, "_DECIMAL_MUL_BITS", forced)
-        products[forced] = a * b
-    assert digits[2:] == [False, False, True, True]
-    assert got == products[math.inf] == products[0] == b * a
+    assert got == _schoolbook(a.coeffs, b.coeffs) == b * a
     assert got.degree == a.degree + b.degree
 
 
-def test_decimal_product_at_the_edge_of_its_fields():
-    # a coefficient of -bound, with 2 bound just below 10^w: the field's
-    # offset must be half its range, 5 * 10^(w - 1)
-    c = math.isqrt(49 * 10**70 // 300)
-    q = IntPolynomial((c,) * 300)
-    bound = 300 * c * c
-    assert len(str(2 * bound)) == len(str(bound)) == 72
-    assert 300 * bound.bit_length() >= exact._DECIMAL_MUL_BITS
-    ramp = [min(k + 1, 599 - k) * c * c for k in range(599)]
-    assert (q * -q).coeffs == tuple(-r for r in ramp)
-    assert (q * q).coeffs == tuple(ramp)
-
-
-def test_wide_slots_stay_in_the_int_product(monkeypatch):
-    # a slot of 2^2001 or more would pass 640 digits, so even with the
-    # crossover at zero the product is the int one
-    monkeypatch.setattr(exact, "_DECIMAL_MUL_BITS", 0)
-    a = IntPolynomial((2**1000 + 1, -(2**999), 3))
-    b = IntPolynomial((-(2**1000), 0, 7))
-    assert a * b == _schoolbook(a.coeffs, b.coeffs)
-    small = IntPolynomial((2**900, -1))
-    assert small * small == _schoolbook(small.coeffs, small.coeffs)
-
-
-@pytest.mark.parametrize("digits", (False, True))
-@pytest.mark.parametrize("sign", ("nonnegative", "signed"))
-def test_product_offsets_its_slots_only_for_signed_factors(monkeypatch, digits, sign):
-    # both paths against the schoolbook product; slots are offset by half
-    # their range only when a factor has a negative coefficient
+# the ids keep the False these rows had when a Decimal path ran beside this one
+@pytest.mark.parametrize(
+    "sign",
+    (pytest.param("nonnegative", id="nonnegative-False"),
+     pytest.param("signed", id="signed-False")),
+)
+def test_product_offsets_its_slots_only_for_signed_factors(monkeypatch, sign):
+    # against the schoolbook product; slots are offset by half their range
+    # only when a factor has a negative coefficient
     rng = random.Random(20)
     coeffs = [
         [rng.getrandbits(40) for _ in range(60)],
@@ -304,12 +268,10 @@ def test_product_offsets_its_slots_only_for_signed_factors(monkeypatch, digits, 
             [-(2**40 - 1)] * 50,
             coeffs[2],
         ]
-    monkeypatch.setattr(exact, "_DECIMAL_MUL_BITS", 0 if digits else math.inf)
     unpack, offsets = exact._unpack, []
 
     def spy(packed, width, count, offset=0):
         offsets.append(offset)
-        assert isinstance(packed, decimal.Decimal) == digits
         return unpack(packed, width, count, offset)
 
     monkeypatch.setattr(exact, "_unpack", spy)
@@ -317,16 +279,6 @@ def test_product_offsets_its_slots_only_for_signed_factors(monkeypatch, digits, 
         assert IntPolynomial(a) * IntPolynomial(b) == _schoolbook(a, b)
         assert (offsets.pop() != 0) == (min(a) < 0 or min(b) < 0)
     assert not offsets
-
-
-def test_decimal_product_ignores_the_thread_context():
-    # a thread context that traps on any rounding: arithmetic in it raises
-    a, b = map(IntPolynomial, _mul_shapes(1)["signed"])
-    strict = decimal.Context(prec=3, traps=[decimal.Inexact, decimal.Rounded])
-    with decimal.localcontext(strict) as ctx:
-        got = a * b
-        assert not any(ctx.flags.values())
-    assert got == _schoolbook(a.coeffs, b.coeffs)
 
 
 def test_product_is_the_left_to_right_product():

@@ -5,6 +5,7 @@ validation messages."""
 import copy
 import importlib
 import inspect
+import math
 import pickle
 import pkgutil
 from fractions import Fraction
@@ -301,6 +302,27 @@ HALF = ProbVec(("1/2", "1/2"))
                      "field size q must be at least 2", id="sp_order-q1"),
         pytest.param(lambda: FlagType((1,), 2, 1),
                      "field size q must be at least 2", id="FlagType-q1"),
+        # ±inf and NaN are no integers either, and no probabilities
+        pytest.param(lambda: orbit_entropy.ig_count(1, 2, math.inf),
+                     "field size q must be an integer", id="ig_count-q-inf"),
+        pytest.param(lambda: orbit_entropy.sp_order(2, math.nan),
+                     "field size q must be an integer", id="sp_order-q-nan"),
+        pytest.param(lambda: orbit_entropy.q_multinomial(2, (1, 1), -math.inf),
+                     "field size q must be an integer", id="q_multinomial-q-minus-inf"),
+        pytest.param(lambda: CoarseMap([math.inf]), "block sizes must be integers",
+                     id="CoarseMap-inf"),
+        pytest.param(lambda: Diagram("A", math.inf), "ranks must be integers",
+                     id="Diagram-inf"),
+        pytest.param(lambda: HALF.scaled_counts(math.inf), "lengths must be integers",
+                     id="scaled_counts-inf"),
+        pytest.param(lambda: orbit_entropy.multinomial(2, [math.nan]), "parts must be integers",
+                     id="multinomial-nan"),
+        pytest.param(lambda: cyclotomic_product([0, -math.inf], 2),
+                     "exponents must be integers", id="cyclotomic_product-exponent-minus-inf"),
+        pytest.param(lambda: ProbVec([math.inf]), "probabilities must be finite numbers",
+                     id="ProbVec-inf"),
+        pytest.param(lambda: ProbVec([math.nan]), "probabilities must be finite numbers",
+                     id="ProbVec-nan"),
     ],
 )
 def test_non_integral_scalars_are_rejected(build, message):

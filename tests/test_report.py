@@ -144,14 +144,19 @@ def test_seeded_faults_fail_the_proof_and_fall_back(target, make_fault, monkeypa
 
 
 def test_held_poincare_check_divides_once(monkeypatch):
-    calls = []
-    quotient = dynkin._bracket_quotient
+    calls, products = [], []
+    quotient, multiply = dynkin._bracket_quotient, IntPolynomial.__mul__
 
     def counted(numer, denom):
         calls.append((tuple(numer), tuple(denom)))
         return quotient(numer, denom)
 
+    def counted_product(a, b):
+        products.append((a, b))
+        return multiply(a, b)
+
     monkeypatch.setattr(dynkin, "_bracket_quotient", counted)
+    monkeypatch.setattr(IntPolynomial, "__mul__", counted_product)
     dist, cmap = ProbVec(("1/4", "1/4", "1/2")), CoarseMap((2, 1))
     result = reflection.coarsening_poincare_check("B", 48, dist, cmap)
     assert result.holds and result.rhs is result.lhs
@@ -160,6 +165,8 @@ def test_held_poincare_check_divides_once(monkeypatch):
         (tuple(dynkin._sizes([("B", 47)])),
          tuple(dynkin._sizes([("A", 11), ("A", 11), ("B", 23)])))
     ]
+    # a proved identity multiplies no polynomials
+    assert products == []
 
 
 def test_held_symplectic_check_evaluates_one_product(monkeypatch):

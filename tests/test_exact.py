@@ -208,6 +208,19 @@ def test_polynomial_product_edge_cases():
     assert (r * r).coeffs == tuple(ramp)
 
 
+def test_decimal_product_at_the_edge_of_its_fields():
+    # a coefficient of -bound, with 2 bound just below 10^w: at the edge of
+    # a base-10 field of w = 72 digits, which the int product must still
+    # carry through its binary slots unchanged
+    c = math.isqrt(49 * 10**70 // 300)
+    q = IntPolynomial((c,) * 300)
+    bound = 300 * c * c
+    assert len(str(2 * bound)) == len(str(bound)) == 72
+    ramp = [min(k + 1, 599 - k) * c * c for k in range(599)]
+    assert (q * -q).coeffs == tuple(-r for r in ramp)
+    assert (q * q).coeffs == tuple(ramp)
+
+
 def test_unpack_reads_back_the_packed_slots():
     coeffs = [5, 0, 255, 17]
     assert exact._unpack(exact._pack(coeffs, 1), 1, 4) == coeffs

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import decimal
+import functools
 import itertools
 import json
 import os
@@ -25,6 +26,7 @@ from .dynkin import FAMILIES, Diagram, poincare_closed, poincare_parabolic, remo
 from .entropy import (
     CoarseMap,
     ProbVec,
+    _check_compatible,
     reflective,
     reflective_chain_residual,
     shannon,
@@ -89,16 +91,12 @@ def _parse_ints(text: str, what: str) -> list[int]:
         raise CliParseError(f"cannot parse {what} {text!r}")
 
 
-def _parse_blocks(text: str, k: int) -> CoarseMap:
+def _parse_blocks(text: str, dist: ProbVec) -> CoarseMap:
     try:
         cmap = CoarseMap(_parse_ints(text, "block sizes"))
+        _check_compatible(dist, cmap)
     except ValueError as exc:
         raise CliParseError(str(exc))
-    if cmap.domain_size != k:
-        raise CliParseError(
-            f"block sizes sum to {cmap.domain_size}, "
-            f"but the distribution has {k} entries"
-        )
     return cmap
 
 
@@ -152,16 +150,13 @@ def _int_str(value: int) -> str:
     if value.bit_length() < _DECIMAL_STR_BITS:
         return str(value)
     ctx = _EXACT_CONTEXT
-    powers: dict[int, decimal.Decimal] = {}
 
+    @functools.cache
     def power(w: int) -> decimal.Decimal:
-        if w not in powers:
-            h = w >> 1
-            powers[w] = (
-                decimal.Decimal(1 << w) if w <= _DECIMAL_LEAF_BITS
-                else ctx.multiply(power(h), power(w - h))
-            )
-        return powers[w]
+        if w <= _DECIMAL_LEAF_BITS:
+            return decimal.Decimal(1 << w)
+        h = w >> 1
+        return ctx.multiply(power(h), power(w - h))
 
     def convert(n: int, w: int) -> decimal.Decimal:
         # n < 2^w
@@ -296,7 +291,7 @@ def _cmd_converge(args: argparse.Namespace) -> tuple[list[dict], int]:
 
 def _cmd_chain_check(args: argparse.Namespace) -> tuple[list[dict], int]:
     dist = _parse_dist(args.dist)
-    cmap = _parse_blocks(args.blocks, len(dist))
+    cmap = _parse_blocks(args.blocks, dist)
     rec: dict = {
         "command": "chain-check",
         "target": args.target,
@@ -335,8 +330,10 @@ def _cmd_chain_check(args: argparse.Namespace) -> tuple[list[dict], int]:
         fmt = _poly_str if poincare else _int_str
         ok = report.holds
         lhs = fmt(report.lhs)
-        # a held identity has rhs == lhs, so its text is formatted once
-        rec.update(lhs=lhs, rhs=lhs if ok else fmt(report.rhs), residual=fmt(report.residual))
+        # a held identity has rhs == lhs and a zero residual, which both
+        # formats print as "0": nothing is formatted again or subtracted
+        rhs, res = (lhs, "0") if ok else (fmt(report.rhs), fmt(report.residual))
+        rec.update(lhs=lhs, rhs=rhs, residual=res)
     rec["holds"] = ok
     return [rec], 0 if ok else 1
 

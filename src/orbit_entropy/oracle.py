@@ -6,13 +6,14 @@ systems, each root system being the closure of the simple roots under
 their reflections, built once per (family, rank). Subspaces of F_q^{2n}
 are one-step flags, enumerated through canonical echelon bases and kept
 when the standard alternating form omega vanishes on each pair of basis
-vectors. omega is read from one table per (n, q), made on first use and
-filled entry by entry by ``_omega``; the Sp_2n column search reads the
-same table. GL_m and Sp_2n are filled in column by column, depth first:
-each GL branch carries the span of its columns down the tree and counts
-the candidates for its last column, and Sp_2n is cached, enumerated
-once per (n, q). The orbit-stabilizer check acts by columns: the first s
-columns of a group element span its image of the coordinate subspace.
+vectors. omega is a cached function, computed once per pair of vectors
+it is read on, by the Sp_2n column search too. GL_m and Sp_2n are
+filled in column by column, depth first: each GL branch carries the
+span of its columns down the tree and counts the candidates for its
+last column, and Sp_2n is cached, enumerated once per (n, q). The
+orbit-stabilizer check acts by columns: the first s columns of a group
+element span its image of the coordinate subspace, and each tuple of
+columns, like each echelon basis, is spanned once by the cached _span.
 
 Nothing here reuses the closed forms it exists to validate; the only
 closed-form imports are the expected sizes used as closure caps and the
@@ -224,30 +225,12 @@ def _check_field(q: int) -> None:
         raise ValueError("brute-force enumeration supports q in {2, 3} only")
 
 
-def _omega(u: Sequence[int], v: Sequence[int], q: int) -> int:
+@functools.cache
+def _omega(u: tuple[int, ...], v: tuple[int, ...], q: int) -> int:
     # the standard alternating form on F_q^{2n}: sum over i < n of
     # u_i v_{n+i} - u_{n+i} v_i
     n = len(u) // 2
     return sum(u[i] * v[n + i] - u[n + i] * v[i] for i in range(n)) % q
-
-
-class _FormTable(dict):
-    # omega on pairs (u, v) of vectors, each entry computed by _omega the
-    # first time it is read
-
-    def __init__(self, q: int) -> None:
-        super().__init__()
-        self.q = q
-
-    def __missing__(self, pair: tuple) -> int:
-        value = self[pair] = _omega(*pair, self.q)
-        return value
-
-
-@functools.cache
-def _omega_table(n: int, q: int) -> _FormTable:
-    # the one table of omega on F_q^{2n}, made on first use
-    return _FormTable(q)
 
 
 def _rref_bases(s: int, dim: int, q: int):
@@ -276,6 +259,7 @@ def _extend_span(span: frozenset, v: tuple[int, ...], q: int) -> frozenset:
     )
 
 
+@functools.cache
 def _span(rows, dim: int, q: int) -> frozenset:
     span = frozenset([(0,) * dim])
     for row in rows:
@@ -285,11 +269,10 @@ def _span(rows, dim: int, q: int) -> frozenset:
 
 def _isotropic_spans(s: int, n: int, q: int) -> list[frozenset]:
     dim = 2 * n
-    omega = _omega_table(n, q)
     return [
         _span(rows, dim, q)
         for rows in _rref_bases(s, dim, q)
-        if all(omega[pair] == 0 for pair in itertools.combinations(rows, 2))
+        if all(_omega(u, v, q) == 0 for u, v in itertools.combinations(rows, 2))
     ]
 
 
@@ -352,7 +335,6 @@ def _symplectic_elements(n: int, q: int) -> tuple[tuple[tuple[int, ...], ...], .
     if (n, q) not in SP_FEASIBLE:
         raise ValueError(f"enumeration feasible only for (n, q) in {sorted(SP_FEASIBLE)}")
     dim = 2 * n
-    omega = _omega_table(n, q)
     vectors = list(itertools.product(range(q), repeat=dim))
     basis = [_root(dim, i) for i in range(dim)]
     found = []
@@ -365,8 +347,8 @@ def _symplectic_elements(n: int, q: int) -> tuple[tuple[tuple[int, ...], ...], .
         e_k = basis[len(cols)]
         candidates = vectors
         for c, e_i in zip(cols, basis):
-            w = omega[e_i, e_k]
-            candidates = [v for v in candidates if omega[c, v] == w]
+            w = _omega(e_i, e_k, q)
+            candidates = [v for v in candidates if _omega(c, v, q) == w]
         for v in candidates:
             extend(cols + (v,))
 
@@ -411,14 +393,10 @@ def stabilizer_and_orbit_check(s: int, n: int, q: int = 2) -> OrbitStabilizerRep
     base = _span(tuple(_root(dim, i) for i in range(s)), dim, q)
     orbit = set()
     stabilizer = 0
-    spans: dict[tuple, frozenset] = {}
     for g in group:
         # g's first s columns are its images of e_1..e_s, so they span
         # g(base); each distinct tuple of them is spanned once
-        cols = g[:s]
-        image = spans.get(cols)
-        if image is None:
-            image = spans[cols] = _span(cols, dim, q)
+        image = _span(g[:s], dim, q)
         orbit.add(image)
         if image == base:
             stabilizer += 1

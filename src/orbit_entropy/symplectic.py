@@ -27,6 +27,7 @@ from .verify import (
     _flag_stabilizer_order,
     _gl_degrees,
     _order,
+    _parabolic_order,
     _reductive_order,
     _symplectic_order,
     check_flag_count,
@@ -191,13 +192,9 @@ def _flag_orders(n: int, dist: ProbVec):
 
 
 def _gl_flag_orders(m: int, dist: ProbVec):
-    # q_multinomial(m, dist.scaled_counts(m), q) as the verify.Quotient
-    # (|GL_m|, |P|), P the parabolic of GL_m fixing a flag with those
-    # increments: its Levi has the degrees of the GL blocks, and its power
-    # of q is that of GL_m, as in _flag_stabilizer_order
+    # q_multinomial(m, dist.scaled_counts(m), q) as the verify.Quotient (|GL_m|, |P|)
     group = _reductive_order(_gl_degrees(m))
-    levi = [j for c in dist.scaled_counts(m) for j in _gl_degrees(c)]
-    return group, (group[0], levi)
+    return group, _parabolic_order(group, dist.scaled_counts(m))
 
 
 def symplectic_chain_identity_check(

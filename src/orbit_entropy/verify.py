@@ -78,10 +78,13 @@ def _symplectic_order(n: int) -> GroupOrder:
     return _reductive_order(_bracket_sizes("C", n))
 
 
+def _parabolic_order(group: GroupOrder, blocks: Sequence[int], rest=()) -> GroupOrder:
+    # |P|: the group's power of q and the Levi degrees, GL_m per m in blocks, then rest
+    return group[0], [j for m in blocks for j in _gl_degrees(m)] + [*rest]
+
+
 def _flag_stabilizer_order(blocks: Sequence[int], n: int) -> GroupOrder:
-    levi = [j for m in blocks for j in _gl_degrees(m)]
-    levi += _bracket_sizes("C", n - sum(blocks))
-    return _symplectic_order(n)[0], levi
+    return _parabolic_order(_symplectic_order(n), blocks, _bracket_sizes("C", n - sum(blocks)))
 
 
 def _phi_exponents(terms: Iterable[tuple[int, Quotient]]) -> tuple[int, list[int]]:

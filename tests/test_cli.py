@@ -316,7 +316,7 @@ def test_mismatched_blocks_are_a_parse_error(capsys):
         capsys,
     )
     assert code == 2
-    assert "block sizes sum to 4" in err
+    assert "coarse map covers 4 entries, vector has 3" in err
 
 
 def test_missing_required_flag_is_a_parse_error(capsys):
@@ -445,6 +445,28 @@ def test_identity_failure_exits_one(monkeypatch, capsys):
     )
     assert code == 1
     assert '"holds": false' in out
+    assert json.loads(out)["residual"] == "-1"
+
+
+def test_held_poincare_check_subtracts_nothing(monkeypatch, capsys):
+    # a held identity prints its residual as "0" without computing lhs - rhs
+    subtractions = []
+    subtract = exact.IntPolynomial.__sub__
+
+    def counted(a, b):
+        subtractions.append((a, b))
+        return subtract(a, b)
+
+    monkeypatch.setattr(exact.IntPolynomial, "__sub__", counted)
+    code, out, err = run_cli(
+        ["chain-check", "--target", "poincare", "--family", "B", "--n", "12",
+         "--dist", "1/3,1/6,1/2", "--blocks", "1,2"],
+        capsys,
+    )
+    assert (code, err) == (0, "")
+    record = json.loads(out)
+    assert record["holds"] is True and record["residual"] == "0"
+    assert subtractions == []
 
 
 def test_failed_self_check_exits_one(monkeypatch, capsys):

@@ -2,7 +2,8 @@
 imports only modules earlier in LAYERS, also in its lazy imports inside
 functions, so no import cycle can form.  Every private function of the
 package is called from the package, and every message a raise spells out
-is raised at one site, the one statement of its rule."""
+is raised at one site, the one statement of its rule.  Memos are functools
+caches: no class is a hand-rolled one."""
 
 import ast
 from collections import Counter
@@ -100,3 +101,22 @@ def test_every_raised_message_has_one_site():
     )
     repeated = {text: count for text, count in sites.items() if count > 1}
     assert not repeated, repeated
+
+
+def test_no_class_is_a_hand_rolled_memo():
+    # the package memoizes through functools caches only: no class
+    # subclasses dict or fills itself in through __missing__
+    memos = [
+        (path.stem, node.name)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ClassDef)
+        and (
+            any(isinstance(b, ast.Name) and b.id == "dict" for b in node.bases)
+            or any(
+                isinstance(f, ast.FunctionDef) and f.name == "__missing__"
+                for f in node.body
+            )
+        )
+    ]
+    assert not memos, memos

@@ -359,51 +359,45 @@ def test_stabilizer_and_orbit_check_matches_the_matrix_action(s, n, q):
 @pytest.mark.parametrize("n,q", list(itertools.product((1, 2), (2, 3))))
 def test_omega_table_matches_the_gram_form(n, q):
     # every pair the oracle's isotropy filter or Sp search could read
-    table = oracle._omega_table(n, q)
-    assert oracle._omega_table(n, q) is table
     J = _ref_gram(n, q)
     vectors = list(itertools.product(range(q), repeat=2 * n))
     for u, v in itertools.product(vectors, repeat=2):
-        assert table[u, v] == _ref_form(J, u, v, q), (u, v)
-    assert len(table) == len(vectors) ** 2
+        assert oracle._omega(u, v, q) == _ref_form(J, u, v, q), (u, v)
 
 
-def test_oracle_verify_builds_each_omega_table_once(monkeypatch, capsys):
-    # one table per (n, q) of the isotropic families, shared with the Sp
-    # search; its entries are filled as they are read, not all up front
+# the functools caches of the oracle, each filled on first use
+ORACLE_CACHES = ("_omega", "_span", "_root_system", "_symplectic_elements")
+
+
+def test_oracle_verify_builds_each_omega_table_once(capsys):
+    # omega is computed once per pair of vectors it is read on, shared by
+    # the isotropy filter and the Sp search, and only for the pairs read;
+    # every cache is read again after it is filled
     from orbit_entropy import cli
 
-    made = []
-
-    class Counted(oracle._FormTable):
-        def __init__(self, q):
-            made.append(q)
-            super().__init__(q)
-
-    monkeypatch.setattr(oracle, "_FormTable", Counted)
-    oracle._omega_table.cache_clear()
-    oracle._symplectic_elements.cache_clear()
+    caches = [getattr(oracle, name) for name in ORACLE_CACHES]
+    for cache in caches:
+        cache.cache_clear()
     assert cli.main(["oracle-verify"]) == 0
     capsys.readouterr()
-    assert sorted(made) == [2, 2, 3, 3]
-    assert oracle._omega_table.cache_info().currsize == 4
-    assert 0 < len(oracle._omega_table(2, 3)) < 81**2
-    oracle._omega_table.cache_clear()
+    omega = oracle._omega.cache_info()
+    assert omega.misses == omega.currsize
+    pairs = sum(q ** (4 * n) for n, q in itertools.product((1, 2), (2, 3)))
+    assert 0 < omega.currsize < pairs
+    assert all(cache.cache_info().hits > 0 for cache in caches)
 
 
 def test_importing_the_oracle_builds_no_table():
     probe = (
         "import orbit_entropy.oracle as o\n"
-        "print(o._omega_table.cache_info().currsize,"
-        " o._symplectic_elements.cache_info().currsize,"
-        " o._root_system.cache_info().currsize)\n"
+        f"print(*(getattr(o, name).cache_info().currsize for name in {ORACLE_CACHES}))\n"
     )
     env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
     env["PYTHONPATH"] = str(Path(oracle.__file__).parents[1])
     done = subprocess.run(
         [sys.executable, "-S", "-c", probe], capture_output=True, text=True, env=env
     )
-    assert (done.returncode, done.stderr, done.stdout) == (0, "", "0 0 0\n")
+    assert (done.returncode, done.stderr, done.stdout) == (0, "", "0 0 0 0\n")
 
 
 @pytest.mark.parametrize(

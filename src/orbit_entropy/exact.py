@@ -195,10 +195,12 @@ def q_multinomial_exponents(n: int, parts: Sequence[int]) -> list[int]:
 def cyclotomic_product(exponents: Sequence[int], q: int) -> int:
     """Product of Phi_d(q)^{e_d} with e_d = exponents[d], over one table of
     Phi_d(q) for d < len(exponents).  The exponents and q must be
-    integers, q >= 2.  A negative e_d would make the product no polynomial
-    in q and raises InexactDivisionError."""
+    integers, q >= 2, exponents[0] = 0.  A negative e_d would make the
+    product no polynomial in q and raises InexactDivisionError."""
     exponents = _integral(exponents, "exponents")
     (q,) = _field_sizes(q)
+    if exponents and exponents[0]:
+        raise ValueError("exponents[0] must be 0: there is no Phi_0")
     negative = [d for d, e in enumerate(exponents) if e < 0]
     if negative:
         raise InexactDivisionError(f"Phi_{negative[0]}(q) has a negative exponent")

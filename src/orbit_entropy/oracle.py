@@ -23,8 +23,8 @@ refuse the same inputs with the same messages; only the caps and the
 prime-field rule are its own.
 
 Hard caps (word length 10, rank 4, half-dimension 2, prime fields F_2
-and F_3) are constants; exceeding one is an error, not a best-effort
-attempt.
+and F_3, 70000 words or matrices listed) are constants; exceeding one is
+an error, not a best-effort attempt.
 """
 
 from __future__ import annotations
@@ -38,12 +38,13 @@ from .dynkin import Diagram, _check_removal, group_order
 from .exact import InexactDivisionError, IntPolynomial, Record, _field_sizes, _integral
 from .symplectic import _check_flag_shape, _check_gl_rank, _check_subspace
 from .symplectic import ig_count, sp_order
-from .verify import _flag_stabilizer_order, _order
+from .verify import _flag_quotient, _order
 
 __all__ = [
     "MAX_WORD_LENGTH",
     "MAX_RANK",
     "MAX_HALF_DIM",
+    "MAX_LISTED",
     "SP_FEASIBLE",
     "OrbitStabilizerReport",
     "count_type_class",
@@ -59,6 +60,7 @@ __all__ = [
 MAX_WORD_LENGTH = 10
 MAX_RANK = 4
 MAX_HALF_DIM = 2
+MAX_LISTED = 70000
 
 # the symplectic group fits a filtered enumeration only here
 SP_FEASIBLE = {(1, 2), (1, 3), (2, 2)}
@@ -75,6 +77,8 @@ def count_type_class(n: int, counts: Sequence[int]) -> int:
         raise ValueError("symbol counts must be nonnegative")
     if sum(target) != n:
         raise ValueError("symbol counts must sum to the word length")
+    if len(target) ** n > MAX_LISTED:
+        raise ValueError(f"word enumeration capped at k^n <= {MAX_LISTED}")
     # symbol a weighs (n + 1)^a, so the weights of a word's symbols sum
     # to its frequencies written in base n + 1
     weights = [(n + 1) ** a for a in range(len(target))]
@@ -309,8 +313,8 @@ def enumerate_general_linear(m: int, q: int) -> int:
     q, m = _field_sizes(q, m)
     _check_field(q)
     _check_gl_rank(m)
-    if q ** (m * m) > 70000:
-        raise ValueError("general linear enumeration capped at q^(m*m) <= 70000")
+    if q ** (m * m) > MAX_LISTED:
+        raise ValueError(f"general linear enumeration capped at q^(m*m) <= {MAX_LISTED}")
     if m == 0:
         return 1
     vectors = list(itertools.product(range(q), repeat=m))
@@ -405,6 +409,6 @@ def stabilizer_and_orbit_check(s: int, n: int, q: int = 2) -> OrbitStabilizerRep
         stabilizer_size=stabilizer,
         group_size=len(group),
         expected_orbit=ig_count(s, n, q),
-        expected_stabilizer=_order(_flag_stabilizer_order((s,), n), q),
+        expected_stabilizer=_order(_flag_quotient((s,), n)[1], q),
         expected_group=sp_order(n, q),
     )

@@ -24,14 +24,14 @@ from .exact import (
 )
 from .report import IdentityReport, _proved_chain_rule
 from .verify import (
-    _flag_stabilizer_order,
+    _flag_quotient,
     _gl_degrees,
     _order,
-    _parabolic_order,
+    _parabolic_quotient,
+    _prove_exponents,
     _reductive_order,
     _symplectic_order,
-    check_flag_count,
-    check_flag_exponents,
+    check_count,
 )
 
 __all__ = [
@@ -85,19 +85,21 @@ def _flag_exponents(blocks: Sequence[int], n: int) -> list[int]:
 
 
 def _flag_count(blocks: Sequence[int], n: int, q: int) -> int:
-    # the exponent vector, evaluated once and checked by verify.check_flag_count
+    # the exponent vector, evaluated once and checked by verify.check_count
     exponents = _flag_exponents(blocks, n)
     value = cyclotomic_product(exponents, q)
-    check_flag_count(blocks, n, q, exponents, value)
+    check_count(_flag_quotient(blocks, n), q, exponents, value)
     return value
 
 
 def _log_flag_count(blocks: Sequence[int], n: int, q: int) -> float:
     # math.log(_flag_count(blocks, n, q)).  The exponent vector is proved
-    # against the degree lists first, on both paths.  From
+    # against the quotient's degree lists first, on both paths.  From
     # exact._LOG_BOUND_BITS on, the log is bounded over those lists; only
     # the product and its residue check are skipped.
-    (_, levi), (_, degrees) = check_flag_exponents(blocks, n, _flag_exponents(blocks, n))
+    quotient = _flag_quotient(blocks, n)
+    _prove_exponents(quotient, _flag_exponents(blocks, n))
+    (_, degrees), (_, levi) = quotient
     bits = (sum(degrees) - sum(levi)) * math.log2(q)
     ln_count = partial(_ln_degree_ratio, degrees, levi, q)
     return _log_count(bits, ln_count, partial(_flag_count, blocks, n, q))
@@ -124,7 +126,7 @@ def unipotent_radical_order(s: int, n: int, q: int) -> int:
     s-dimensional isotropic subspace acting on its associated graded."""
     q, s, n = _field_sizes(q, s, n)
     _check_subspace(s, n)
-    power, levi = _flag_stabilizer_order((s,), n)
+    power, levi = _flag_quotient((s,), n)[1]
     return q ** (power - _reductive_order(levi)[0])
 
 
@@ -188,13 +190,12 @@ def normalized_logq_quotient(n: int, dist: ProbVec, q: int) -> float:
 
 def _flag_orders(n: int, dist: ProbVec):
     # sp_quotient_closed(n, dist, q) as the verify.Quotient (|Sp_n|, |P|)
-    return _symplectic_order(n), _flag_stabilizer_order(dist.scaled_counts(n)[:-1], n)
+    return _flag_quotient(dist.scaled_counts(n)[:-1], n)
 
 
 def _gl_flag_orders(m: int, dist: ProbVec):
     # q_multinomial(m, dist.scaled_counts(m), q) as the verify.Quotient (|GL_m|, |P|)
-    group = _reductive_order(_gl_degrees(m))
-    return group, _parabolic_order(group, dist.scaled_counts(m))
+    return _parabolic_quotient(_reductive_order(_gl_degrees(m)), dist.scaled_counts(m))
 
 
 def symplectic_chain_identity_check(

@@ -2,9 +2,9 @@
 
 ``ig_count``, ``isotropic_flag_count`` and ``sp_quotient_closed`` all count
 the flags of one shape, |Sp_n / P| for the parabolic P fixing an isotropic
-flag with increments m_1, ..., m_k, and each hands its exponent vector and
-its value to ``check_flag_count``.  The check proves the orbit-stabilizer
-identity count * |P| = |Sp_n| in two steps, and builds a group order as a
+flag with increments m_1, ..., m_k.  Each hands ``check_count`` the
+``Quotient`` (|Sp_n|, |P|), its exponent vector and its value; the check
+proves count * |P| = |Sp_n| in two steps, and builds a group order as a
 big integer only in the fallback of step 2:
 
 1. Symbolic proof.  A split reductive group with degrees d_i has order
@@ -24,9 +24,9 @@ big integer only in the fallback of step 2:
    0 mod p says nothing about the count and is skipped; with fewer than
    two primes left, the exact big-integer equality runs instead.
 
-Step 1 is ``check_flag_exponents``, which returns both orders.
-``normalized_logq_quotient`` runs it first on both of its paths, and
-again through ``check_flag_count`` on the one that builds the count.
+``check_count`` is one check over any ``Quotient`` (|G|, |H|), group over
+stabilizer.  The log path runs step 1 alone, ``_prove_exponents``, and
+bounds its log over the same quotient's degree lists.
 
 The flag-count identity count = ig_count(s) * q_multinomial(s, m), with
 s = sum m, written through group orders, is this factorization for the
@@ -51,7 +51,7 @@ from collections.abc import Iterable, Sequence
 from .dynkin import _bracket_sizes
 from .exact import InexactDivisionError, product
 
-__all__ = ["PRIMES", "check_flag_count", "check_flag_exponents"]
+__all__ = ["PRIMES", "check_count"]
 
 # safe primes p = 2p' + 1 below 2^61: every q other than 0 and +-1 mod p has
 # multiplicative order at least p' > 2^59, so no factor q^j - 1 a count can
@@ -78,13 +78,14 @@ def _symplectic_order(n: int) -> GroupOrder:
     return _reductive_order(_bracket_sizes("C", n))
 
 
-def _parabolic_order(group: GroupOrder, blocks: Sequence[int], rest=()) -> GroupOrder:
-    # |P|: the group's power of q and the Levi degrees, GL_m per m in blocks, then rest
-    return group[0], [j for m in blocks for j in _gl_degrees(m)] + [*rest]
+def _parabolic_quotient(group: GroupOrder, blocks: Sequence[int], rest=()) -> Quotient:
+    # (|G|, |P|): |P| has G's power of q and the Levi degrees, GL_m per m in blocks, then rest
+    return group, (group[0], [j for m in blocks for j in _gl_degrees(m)] + [*rest])
 
 
-def _flag_stabilizer_order(blocks: Sequence[int], n: int) -> GroupOrder:
-    return _parabolic_order(_symplectic_order(n), blocks, _bracket_sizes("C", n - sum(blocks)))
+def _flag_quotient(blocks: Sequence[int], n: int) -> Quotient:
+    rest = _bracket_sizes("C", n - sum(blocks))
+    return _parabolic_quotient(_symplectic_order(n), blocks, rest)
 
 
 def _phi_exponents(terms: Iterable[tuple[int, Quotient]]) -> tuple[int, list[int]]:
@@ -103,19 +104,12 @@ def _phi_exponents(terms: Iterable[tuple[int, Quotient]]) -> tuple[int, list[int
     return power, [0] + [sum(net[d::d]) for d in range(1, len(net))]
 
 
-def check_flag_exponents(
-    blocks: Sequence[int], n: int, exponents: Sequence[int]
-) -> tuple[GroupOrder, GroupOrder]:
-    """Step 1 alone, the symbolic proof that the product of
-    Phi_d(q)^{exponents[d]} is |Sp_n| / |P| as polynomials in q, for the P
-    fixing a flag with increments ``blocks``; returns the orders (|P|, |Sp_n|)."""
-    stabilizer, group = _flag_stabilizer_order(blocks, n), _symplectic_order(n)
-    power, net = _phi_exponents([(1, (group, stabilizer))])
+def _prove_exponents(quotient: Quotient, exponents: Sequence[int]) -> None:
+    # step 1 alone: the product of Phi_d(q)^{exponents[d]} is |G| / |H| as
+    # polynomials in q, for the quotient (|G|, |H|)
+    power, net = _phi_exponents([(1, quotient)])
     if power or list(exponents) != net:
-        raise InexactDivisionError(
-            "flag count exponents fail the stabilizer factorization"
-        )
-    return stabilizer, group
+        raise InexactDivisionError("flag count exponents fail the stabilizer factorization")
 
 
 def _proves_coarsening(fine: Quotient, parts: Iterable[Quotient], least: int) -> bool:
@@ -146,13 +140,11 @@ def _order(order: GroupOrder, q: int) -> int:
     return q**a * product(q**j - 1 for j in js)
 
 
-def check_flag_count(
-    blocks: Sequence[int], n: int, q: int, exponents: Sequence[int], value: int
-) -> None:
-    """Check that ``value``, the product of Phi_d(q)^{exponents[d]} with
-    len(exponents) = 2n + 1, is the number of isotropic flags with
-    increments ``blocks`` in a 2n-dimensional symplectic space over F_q."""
-    stabilizer, group = check_flag_exponents(blocks, n, exponents)
+def check_count(quotient: Quotient, q: int, exponents: Sequence[int], value: int) -> None:
+    """Check that ``value``, the product of Phi_d(q)^{exponents[d]}, is the
+    count |G| / |H| at q of ``quotient``, the orders (|G|, |H|)."""
+    _prove_exponents(quotient, exponents)
+    group, stabilizer = quotient
     residues = [(p, m) for p in PRIMES if (m := _order_mod(stabilizer, q, p))]
     if len(residues) >= 2:
         holds = all(value % p * m % p == _order_mod(group, q, p) for p, m in residues)

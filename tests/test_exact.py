@@ -378,6 +378,9 @@ def test_q_multinomial_rejects_bad_input():
         # the id this row had before a non-integral q got one message
         pytest.param([0, 1], 2.5, "field size q must be an integer", id="exponents3-2.5-field sizes must be integers"),
         ([0, 0, 1.5], 2, "exponents must be integers"),
+        # Phi_0 does not exist; entry 0 of the table is q^0 - 1 = 0
+        ([1], 2, "exponents[0] must be 0: there is no Phi_0"),
+        ([2, 0, 1], 3, "exponents[0] must be 0: there is no Phi_0"),
     ],
 )
 def test_cyclotomic_product_rejects_bad_input(exponents, q, message):

@@ -34,6 +34,10 @@ def test_count_type_class_matches_multinomial():
 def test_count_type_class_respects_word_cap():
     with pytest.raises(ValueError):
         oracle.count_type_class(oracle.MAX_WORD_LENGTH + 1, (11,))
+    # zero counts add symbols too: 5^8 = 390625 words would be listed for a
+    # count of 1
+    with pytest.raises(ValueError, match=r"capped at k\^n <= 70000"):
+        oracle.count_type_class(8, (8, 0, 0, 0, 0))
 
 
 def test_length_census_small_groups():
@@ -486,7 +490,7 @@ ORACLE_PACKAGE_IMPORTS = {
     "_check_gl_rank",
     "ig_count",
     "sp_order",
-    "_flag_stabilizer_order",
+    "_flag_quotient",
     "_order",
     "InexactDivisionError",
     "IntPolynomial",

@@ -9,7 +9,7 @@ from functools import partial
 
 import pytest
 
-from orbit_entropy import cli, dynkin, exact, reflection, report, symplectic
+from orbit_entropy import cli, dynkin, exact, reflection, report, symplectic, verify
 from orbit_entropy.cli import _poly_str, _positive_compositions
 from orbit_entropy.entropy import CoarseMap, ProbVec, conditional, pushforward
 from orbit_entropy.exact import IntPolynomial
@@ -222,3 +222,28 @@ def test_proof_compares_powers_of_q_and_phi_1_only_from_least():
     # [4]_t = [2]_t (1 + t^2): Phi_4 is left over without the second factor
     assert prove(((0, [4]), (0, [])), [((0, [2]), (0, [])), ((0, [4]), (0, [2]))], 2)
     assert not prove(((0, [4]), (0, [])), [((0, [2]), (0, []))], 2)
+
+
+# every builder of a verify.Quotient (|G|, |H|) the package has, as a
+# function of (n, dist); a new count's builder joins this list
+QUOTIENT_BUILDERS = {
+    "flag": lambda n, d: verify._flag_quotient(d.scaled_counts(n)[:-1], n),
+    "gl-flag": symplectic._gl_flag_orders,
+    **{
+        f"brackets-{family}": lambda n, d, family=family: reflection._bracket_orders(
+            family, n - 1, dynkin.flag_factors(family, d.scaled_counts(n))
+        )
+        for family in dynkin.FAMILIES
+    },
+}
+
+
+@pytest.mark.parametrize("builder", QUOTIENT_BUILDERS.values(), ids=QUOTIENT_BUILDERS)
+def test_every_quotient_builder_puts_the_group_over_the_stabilizer(builder):
+    # |G| / |H| is q^a prod Phi_d(q)^{e_d} with a >= 0 and every e_d >= 0;
+    # a builder returning (|H|, |G|) would turn them negative
+    for n in range(2, 13):
+        for parts in _positive_compositions(n, 3):
+            dist = ProbVec(Fraction(m, n) for m in parts)
+            power, net = verify._phi_exponents([(1, builder(n, dist))])
+            assert power >= 0 and min(net) >= 0, (n, parts)

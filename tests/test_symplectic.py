@@ -103,7 +103,7 @@ def test_orders_match_the_hand_derived_powers():
             power = unipotent + sum(m * (m - 1) // 2 for m in blocks) + r * r
             degrees = [j for m in blocks for j in range(1, m + 1)]
             degrees += [2 * i for i in range(1, r + 1)]
-            assert verify._flag_stabilizer_order(blocks, n) == (power, degrees)
+            assert verify._flag_quotient(blocks, n)[1] == (power, degrees)
 
 
 def _ref_flag_exponents(blocks, n):
@@ -392,7 +392,7 @@ def test_symbolic_proof_rejects_vectors_right_only_at_one_q():
     # right value at q = 2, which the residue check alone would accept
     exps = symplectic._flag_exponents((3,), 6)
     value = ig_count(3, 6, 2)
-    verify.check_flag_count((3,), 6, 2, exps, value)
+    verify.check_count(verify._flag_quotient((3,), 6), 2, exps, value)
     extra_phi_1 = exps.copy()
     extra_phi_1[1] += 1
     phi_2_as_phi_6 = exps.copy()
@@ -401,7 +401,7 @@ def test_symbolic_proof_rejects_vectors_right_only_at_one_q():
     for bad in (extra_phi_1, phi_2_as_phi_6):
         assert exact.cyclotomic_product(bad, 2) == value
         with pytest.raises(InexactDivisionError):
-            verify.check_flag_count((3,), 6, 2, bad, value)
+            verify.check_count(verify._flag_quotient((3,), 6), 2, bad, value)
 
 
 def test_exact_equality_runs_when_fewer_than_two_primes_inform(monkeypatch):
@@ -507,7 +507,7 @@ def test_seeded_faults_raise_above_the_crossover(fault, monkeypatch):
 @pytest.mark.parametrize("bits", (0, math.inf))
 def test_normalized_logq_quotient_proves_the_exponents_first(bits, monkeypatch):
     # on the bound path the proof is the whole check; on the count path it
-    # runs before the product, which check_flag_count then proves again
+    # runs before the product, which check_count then proves again
     calls = []
 
     def spy(name, original):
@@ -518,18 +518,21 @@ def test_normalized_logq_quotient_proves_the_exponents_first(bits, monkeypatch):
         return wrapped
 
     monkeypatch.setattr(exact, "_LOG_BOUND_BITS", bits)
-    for name in ("check_flag_exponents", "cyclotomic_product"):
+    for name in ("_prove_exponents", "cyclotomic_product"):
         monkeypatch.setattr(symplectic, name, spy(name, getattr(symplectic, name)))
     normalized_logq_quotient(256, LARGE, 2)
-    want = ["check_flag_exponents"] + ["cyclotomic_product"] * (bits == math.inf)
+    want = ["_prove_exponents"] + ["cyclotomic_product"] * (bits == math.inf)
     assert calls == want
 
 
-def test_check_flag_exponents_returns_the_orders_it_proves():
+def test_flag_quotient_is_the_group_over_the_stabilizer_it_proves():
     blocks, n = (1, 2), 6
+    quotient = verify._flag_quotient(blocks, n)
+    assert quotient == (verify._symplectic_order(n), (36, [1, 1, 2, 2, 4, 6]))
     exponents = symplectic._flag_exponents(blocks, n)
-    orders = verify.check_flag_exponents(blocks, n, exponents)
-    assert orders == (verify._flag_stabilizer_order(blocks, n), verify._symplectic_order(n))
+    verify._prove_exponents(quotient, exponents)
+    with pytest.raises(InexactDivisionError):
+        verify._prove_exponents(quotient[::-1], exponents)
 
 
 def test_normalized_logq_quotient_falls_back_to_the_count_on_a_wide_bound(monkeypatch):

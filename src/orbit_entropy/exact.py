@@ -86,8 +86,10 @@ def exact_div(numerator: int, denominator: int) -> int:
     """Integer quotient, raising ``InexactDivisionError`` on a remainder."""
     quotient, remainder = divmod(numerator, denominator)
     if remainder:
+        # bit lengths, not digits: an operand may be past int's str() limit
         raise InexactDivisionError(
-            f"{numerator} is not divisible by {denominator}"
+            f"a {numerator.bit_length()}-bit int is not divisible by a "
+            f"{denominator.bit_length()}-bit one"
         )
     return quotient
 
@@ -273,22 +275,20 @@ class IntPolynomial(Record):
     def __mul__(self, other: "IntPolynomial") -> "IntPolynomial":
         # Kronecker substitution: evaluate both factors at t = 2^(8w), make
         # one int multiplication, and read the product's coefficients back
-        # from its w-byte slots.  When a factor has a negative coefficient,
-        # each slot is offset by half its range, so one decoding serves
-        # signed coefficients; a product of nonnegative factors already has
-        # every slot in [0, bound], below half its range.
+        # from its w-byte slots.  No product coefficient exceeds the bound in
+        # magnitude, and the bound is below half a slot's range, so every
+        # slot offset by that half is nonnegative: one decoding for any signs.
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return IntPolynomial()
         bound = min(len(a), len(b)) * max(map(abs, a)) * max(map(abs, b))
         width = bound.bit_length() // 8 + 1
         size = len(a) + len(b) - 1
-        packed = _pack(a, width) * _pack(b, width)
-        offset = 0
-        if min(a) < 0 or min(b) < 0:
-            offset = 1 << (8 * width - 1)
-            packed += int.from_bytes(offset.to_bytes(width, "little") * size, "little")
-        return IntPolynomial(_unpack(packed, width, size, offset))
+        t, half = 1 << (8 * width), 1 << (8 * width - 1)
+        offset = int.from_bytes(half.to_bytes(width, "little") * size, "little")
+        raw = (self(t) * other(t) + offset).to_bytes(size * width, "little")
+        slots = range(0, len(raw), width)
+        return IntPolynomial(int.from_bytes(raw[i : i + width], "little") - half for i in slots)
 
     def __call__(self, x: int) -> int:
         # divide and conquer: pair neighbours as c_i + x^h c_{i+1}, h = 1, 2,
@@ -314,23 +314,6 @@ _EXACT_CONTEXT = decimal.Context(
     Emin=decimal.MIN_EMIN,
     traps=[decimal.Inexact, decimal.Rounded, decimal.InvalidOperation, decimal.Overflow],
 )
-
-
-def _pack(coeffs: Sequence[int], width: int) -> int:
-    # the polynomial's value at t = 2^(8 * width), every |c| < 2^(8 * width)
-    def join(cs: Sequence[int]) -> int:
-        return int.from_bytes(b"".join([c.to_bytes(width, "little") for c in cs]), "little")
-
-    if min(coeffs) >= 0:
-        return join(coeffs)
-    return join([max(c, 0) for c in coeffs]) - join([max(-c, 0) for c in coeffs])
-
-
-def _unpack(packed: int, width: int, count: int, offset: int = 0) -> list[int]:
-    # the count width-byte slots of packed, lowest first, each less offset
-    raw = packed.to_bytes(count * width, "little")
-    slots = range(0, len(raw), width)
-    return [int.from_bytes(raw[i : i + width], "little") - offset for i in slots]
 
 
 # The one context of the certified logarithms below.  ln, exp and the

@@ -469,6 +469,49 @@ def test_held_poincare_check_subtracts_nothing(monkeypatch, capsys):
     assert subtractions == []
 
 
+_FINE, _BLOCKS = ["--dist", "1/4,1/4,1/2"], ["--blocks", "2,1"]
+# one small op per command and per chain-check target, both formats
+NO_PRODUCT_OPS = [
+    ["count", "reflection", "--family", "B", "--n", "8", *_FINE],
+    ["count", "symplectic", "--n", "4", "--q", "2", *_FINE],
+    ["count", "symplectic", "--object", "quotient", "--n", "4", "--q", "2", *_FINE],
+    ["count", "isotropic", "--s", "1", "--n", "2", "--q", "2", "--format", "csv"],
+    ["entropy", *_FINE],
+    ["converge", "reflection", "--family", "D", *_FINE, "--n", "16,32"],
+    ["converge", "symplectic", "--q", "3", *_FINE, "--n", "8,16", "--format", "csv"],
+    ["chain-check", "--target", "shannon", *_FINE, *_BLOCKS],
+    ["chain-check", "--target", "reflective", *_FINE, *_BLOCKS],
+    ["chain-check", "--target", "symplectic-entropy", *_FINE, *_BLOCKS],
+    ["chain-check", "--target", "reflective-cardinality", "--family", "B", "--n", "8",
+     *_FINE, *_BLOCKS],
+    ["chain-check", "--target", "symplectic-cardinality", "--n", "4", "--q", "2",
+     *_FINE, *_BLOCKS],
+    *(["chain-check", "--target", "poincare", "--family", family, "--n", "8",
+       *_FINE, *_BLOCKS] for family in "ABCD"),
+    ["chain-check", "--target", "poincare", "--family", "C", "--n", "8",
+     *_FINE, *_BLOCKS, "--format", "csv"],
+    ["oracle-verify"],
+    ["oracle-verify", "--format", "csv"],
+]
+
+
+@pytest.mark.parametrize("argv", NO_PRODUCT_OPS, ids=" ".join)
+def test_no_command_multiplies_polynomials(argv, monkeypatch, capsys):
+    # the chain rules are proved from degree lists, so the polynomial
+    # product's speed matters to no command
+    products = []
+    multiply = exact.IntPolynomial.__mul__
+
+    def counted(a, b):
+        products.append((a, b))
+        return multiply(a, b)
+
+    monkeypatch.setattr(exact.IntPolynomial, "__mul__", counted)
+    code, out, err = run_cli(argv, capsys)
+    assert (code, err) == (0, "") and out
+    assert products == []
+
+
 def test_failed_self_check_exits_one(monkeypatch, capsys):
     # a count whose evaluation drops a factor fails its residue check
     original = exact.product

@@ -5,6 +5,7 @@ import decimal
 import itertools
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -35,6 +36,15 @@ def test_exact_div_basic():
 def test_exact_div_rejects_remainder():
     with pytest.raises(InexactDivisionError):
         exact_div(7, 2)
+
+
+def test_exact_div_message_prints_no_digits():
+    # 5001 digits, past CPython's default limit on int-to-str conversion
+    limit = sys.get_int_max_str_digits()
+    with pytest.raises(InexactDivisionError) as raised:
+        exact_div(10**5000 + 1, 10)
+    assert sys.get_int_max_str_digits() == limit
+    assert len(str(raised.value)) < 80
 
 
 def test_exact_div_rejects_zero_divisor():
@@ -206,6 +216,15 @@ def test_polynomial_product_edge_cases():
     ramp = [min(k + 1, 599 - k) * c * c for k in range(599)]
     assert (r * -r).coeffs == tuple(-x for x in ramp)
     assert (r * r).coeffs == tuple(ramp)
+    # unsigned and signed factors in 1- and 2-byte slots: bounds 126, 255,
+    # 126 and 768
+    for a, b in (
+        ([7, 0, 7, 1], [9, 9]),
+        ([5, 0, 255, 17], [1]),
+        ([-7, 0, 7, -1], [9, -9]),
+        ([-3, 7, 0, -128], [1, -1, 2]),
+    ):
+        assert IntPolynomial(a) * IntPolynomial(b) == _schoolbook(a, b)
 
 
 def test_decimal_product_at_the_edge_of_its_fields():
@@ -219,15 +238,6 @@ def test_decimal_product_at_the_edge_of_its_fields():
     ramp = [min(k + 1, 599 - k) * c * c for k in range(599)]
     assert (q * -q).coeffs == tuple(-r for r in ramp)
     assert (q * q).coeffs == tuple(ramp)
-
-
-def test_unpack_reads_back_the_packed_slots():
-    coeffs = [5, 0, 255, 17]
-    assert exact._unpack(exact._pack(coeffs, 1), 1, 4) == coeffs
-    # signed coefficients, each slot offset by half its range
-    signed, half = [-3, 7, 0, -128], 1 << 15
-    packed = exact._pack(signed, 2) + int.from_bytes(half.to_bytes(2, "little") * 4, "little")
-    assert exact._unpack(packed, 2, 4, half) == signed
 
 
 def _signed(rng, count, bits):
@@ -260,15 +270,8 @@ def test_decimal_product_matches_the_int_product(side, shape):
     assert got.degree == a.degree + b.degree
 
 
-# the ids keep the False these rows had when a Decimal path ran beside this one
-@pytest.mark.parametrize(
-    "sign",
-    (pytest.param("nonnegative", id="nonnegative-False"),
-     pytest.param("signed", id="signed-False")),
-)
-def test_product_offsets_its_slots_only_for_signed_factors(monkeypatch, sign):
-    # against the schoolbook product; slots are offset by half their range
-    # only when a factor has a negative coefficient
+@pytest.mark.parametrize("sign", ("nonnegative", "signed"))
+def test_product_matches_schoolbook_for_nonnegative_and_signed_factors(sign):
     rng = random.Random(20)
     coeffs = [
         [rng.getrandbits(40) for _ in range(60)],
@@ -281,17 +284,28 @@ def test_product_offsets_its_slots_only_for_signed_factors(monkeypatch, sign):
             [-(2**40 - 1)] * 50,
             coeffs[2],
         ]
-    unpack, offsets = exact._unpack, []
-
-    def spy(packed, width, count, offset=0):
-        offsets.append(offset)
-        return unpack(packed, width, count, offset)
-
-    monkeypatch.setattr(exact, "_unpack", spy)
     for a, b in itertools.product(coeffs, repeat=2):
         assert IntPolynomial(a) * IntPolynomial(b) == _schoolbook(a, b)
-        assert (offsets.pop() != 0) == (min(a) < 0 or min(b) < 0)
-    assert not offsets
+
+
+def test_product_evaluates_each_factor_once_at_a_power_of_two(monkeypatch):
+    # the factors are packed by the one polynomial evaluator, __call__
+    calls = []
+    evaluate = IntPolynomial.__call__
+
+    def spy(p, x):
+        calls.append((p, x))
+        return evaluate(p, x)
+
+    monkeypatch.setattr(IntPolynomial, "__call__", spy)
+    for a, b in (((1, 2, 3), (4, 5)), ((-(2**70), 0, 9), (-1,)), ((2**200,), (3, -3))):
+        a, b = IntPolynomial(a), IntPolynomial(b)
+        assert a * b == _schoolbook(a.coeffs, b.coeffs)
+        (pa, ta), (pb, tb) = calls
+        assert (pa, pb) == (a, b) and ta == tb
+        # t = 2^(8w) for a slot of w bytes
+        assert ta == 1 << (ta.bit_length() - 1) and (ta.bit_length() - 1) % 8 == 0
+        calls.clear()
 
 
 def test_product_is_the_left_to_right_product():

@@ -212,8 +212,10 @@ def _bracket_quotient(numer: Sequence[int], denom: Sequence[int]) -> IntPolynomi
     return IntPolynomial(coeffs)
 
 
-# a full oracle-verify needs 11 entries; the bound keeps long rank sweeps
-# from holding every coefficient list they ever built
+# oracle-verify asks for 11 distinct entries, each once, so it makes no
+# hits; the bound is for long rank sweeps in one process, which it keeps
+# from holding every coefficient list they ever built.  perfbench reads
+# cache_info and calls cache_clear.
 @lru_cache(maxsize=32)
 def poincare_closed(family: str, rank: int) -> IntPolynomial:
     """Length generating function of the full group, as a product of

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import decimal
 import math
+import sys
 from collections.abc import Callable, Iterable, Sequence
 from functools import lru_cache
 
@@ -496,9 +497,15 @@ def _log_count(
     """math.log(count()), the same float bit for bit.  When the count's
     estimated bit length reaches _LOG_BOUND_BITS, the float comes from the
     certified bounds ln_count() returns, without building the count, unless
-    they leave it open."""
+    they leave it open.  A count left open with more bits than an int can
+    have, sys.maxsize, cannot be built either and raises ValueError."""
     if bits >= _LOG_BOUND_BITS:
         value = _log_from_ln(*ln_count())
         if value is not None:
             return value
+        if bits > sys.maxsize:
+            raise ValueError(
+                f"the log bound leaves the float open, and a count of about {bits:.3g} "
+                "bits is too large to build"
+            )
     return math.log(count())

@@ -37,8 +37,8 @@ from collections.abc import Iterable, Sequence
 from .dynkin import Diagram, _check_removal, group_order
 from .exact import InexactDivisionError, IntPolynomial, Record, _field_sizes, _integral
 from .symplectic import _check_flag_shape, _check_gl_rank, _check_subspace
-from .symplectic import ig_count, sp_order
-from .verify import _flag_quotient, _order
+from .symplectic import _group_order, ig_count, sp_order, unipotent_radical_order
+from .verify import _flag_quotient
 
 __all__ = [
     "MAX_WORD_LENGTH",
@@ -389,12 +389,14 @@ class OrbitStabilizerReport(Record):
 def stabilizer_and_orbit_check(s: int, n: int, q: int = 2) -> OrbitStabilizerReport:
     """Acts the enumerated group on the coordinate isotropic subspace
     spanned by the first s basis vectors and compares the orbit size with
-    ig_count and the stabilizer size with the |P| its proof uses."""
+    ig_count and the stabilizer size with |P| = |U| |L|, over the Levi
+    degrees that ig_count's proof reads."""
     q, s, n = _field_sizes(q, s, n)
     _check_subspace(s, n)
     group = _symplectic_elements(n, q)
     dim = 2 * n
     base = _span(tuple(_root(dim, i) for i in range(s)), dim, q)
+    _, levi = _flag_quotient((s,), n)
     orbit = set()
     stabilizer = 0
     for g in group:
@@ -409,6 +411,6 @@ def stabilizer_and_orbit_check(s: int, n: int, q: int = 2) -> OrbitStabilizerRep
         stabilizer_size=stabilizer,
         group_size=len(group),
         expected_orbit=ig_count(s, n, q),
-        expected_stabilizer=_order(_flag_quotient((s,), n)[1], q),
+        expected_stabilizer=unipotent_radical_order(s, n, q) * _group_order(levi, q),
         expected_group=sp_order(n, q),
     )

@@ -69,7 +69,10 @@ def _log_index(family: str, rank: int, factors: ParabolicType) -> float:
     # math.log(_index(...)); from exact._LOG_BOUND_BITS on, by Stirling
     # bounds on the ln k! terms, without building the index
     m, parts, twos = _index_terms(family, rank, factors)
-    ln_estimate = math.lgamma(m + 1) - sum(math.lgamma(p + 1) for p in parts)
+    try:
+        ln_estimate = math.lgamma(m + 1) - sum(math.lgamma(p + 1) for p in parts)
+    except OverflowError:
+        raise ValueError("rank too large: the float estimate of ln |W/W_P| overflows") from None
     bits = ln_estimate / math.log(2) + twos
     return _log_count(
         bits,
@@ -106,23 +109,25 @@ def normalized_log_orbit(family: str, n: int, dist: ProbVec) -> float:
     ln |W/W_P| = ln m! - sum ln p_i! + twos ln 2 instead: the Stirling series
     with its remainder bounded, in 60-digit decimal arithmetic.  The float
     is the one math.log returns for the count, or the count is built when
-    the bound cannot fix it.
+    the bound cannot fix it.  ValueError refuses an n whose count is too
+    large to build there, or whose float estimate of the log overflows.
     """
     return _orbit(family, n, dist, _log_index, 0.0) / n
 
 
 def _bracket_orders(family: str, rank: int, factors: ParabolicType):
-    # poincare_quotient's two bracket-size lists as the verify.Quotient of
-    # prod (t^a - 1) over each, with no power of t; the brackets differ
-    # from these products only in powers of Phi_1 = t - 1
-    return (0, _sizes([(family, rank)])), (0, _sizes(factors))
+    # poincare_quotient's two bracket-size lists as a verify.Quotient:
+    # [a]_t = (t^a - 1) / (t - 1), so each size sits on its own side and
+    # a degree 1 on the other
+    group, parabolic = _sizes([(family, rank)]), _sizes(factors)
+    return group + [1] * len(parabolic), parabolic + [1] * len(group)
 
 
 def _grading(count, family: str):
     # a count of the family and the bracket sizes that prove its chain rule
     return (
         partial(count, family),
-        partial(_orbit, family, quotient=_bracket_orders, one=((0, []), (0, []))),
+        partial(_orbit, family, quotient=_bracket_orders, one=([], [])),
     )
 
 
@@ -134,7 +139,7 @@ def coarsening_cardinality_check(
     family itself.  It is proved as the identity of the length generating
     functions below, which it is at t = 1, so only lhs is counted."""
     return _proved_chain_rule(
-        _grading(orbit_count, family), _grading(orbit_count, "A"), 2, n, dist, cmap
+        _grading(orbit_count, family), _grading(orbit_count, "A"), n, dist, cmap
     )
 
 
@@ -147,5 +152,5 @@ def coarsening_poincare_check(
     side is built and multiplied out, as report.chain_rule_check does,
     only if that proof fails."""
     return _proved_chain_rule(
-        _grading(orbit_poincare, family), _grading(orbit_poincare, "A"), 2, n, dist, cmap
+        _grading(orbit_poincare, family), _grading(orbit_poincare, "A"), n, dist, cmap
     )

@@ -43,10 +43,6 @@ def _factors(outer, inner, n: int, dist: ProbVec, cmap: CoarseMap):
             yield (outer if j == cmap.m else inner)(n_j, conditional(dist, cmap, j))
 
 
-def _product(outer, inner, n: int, dist: ProbVec, cmap: CoarseMap):
-    return reduce(operator.mul, _factors(outer, inner, n, dist, cmap))
-
-
 def chain_rule_check(
     outer, inner, n: int, dist: ProbVec, cmap: CoarseMap
 ) -> IdentityReport:
@@ -65,20 +61,17 @@ def chain_rule_check(
     their fallback when the proof fails, and the tests' oracle for them.
     """
     lhs = outer(n, dist)
-    return IdentityReport(lhs, _product(outer, inner, n, dist, cmap))
+    return IdentityReport(lhs, reduce(operator.mul, _factors(outer, inner, n, dist, cmap)))
 
 
-def _proved_chain_rule(
-    outer, inner, least: int, n: int, dist: ProbVec, cmap: CoarseMap
-) -> IdentityReport:
+def _proved_chain_rule(outer, inner, n: int, dist: ProbVec, cmap: CoarseMap) -> IdentityReport:
     # chain_rule_check's report for the gradings outer and inner, each a
     # pair (count, orders) with orders(n, P) the verify.Quotient that
     # count(n, P) evaluates.  lhs is built; the right-hand side is proved
-    # equal to it from the orders, by verify._proves_coarsening over the
-    # Phi_d with d >= least, and multiplied out only when the proof fails
+    # equal to it from the orders by verify._proves_coarsening, and only
+    # when the proof fails does chain_rule_check compute both sides
     (count, orders), (inner_count, inner_orders) = outer, inner
     lhs = count(n, dist)
-    parts = _factors(orders, inner_orders, n, dist, cmap)
-    if _proves_coarsening(orders(n, dist), parts, least):
+    if _proves_coarsening(orders(n, dist), _factors(orders, inner_orders, n, dist, cmap)):
         return IdentityReport(lhs, lhs)
-    return IdentityReport(lhs, _product(count, inner_count, n, dist, cmap))
+    return chain_rule_check(count, inner_count, n, dist, cmap)

@@ -12,6 +12,7 @@ import math
 from collections.abc import Iterable, Sequence
 from functools import partial
 
+from .dynkin import _bracket_sizes
 from .entropy import CoarseMap, ProbVec
 from .exact import (
     Record,
@@ -28,9 +29,8 @@ from .verify import (
     _gl_degrees,
     _order,
     _parabolic_quotient,
+    _positive_roots,
     _prove_exponents,
-    _reductive_order,
-    _symplectic_order,
     check_count,
 )
 
@@ -73,10 +73,10 @@ def _c_multiples(k: int, d: int) -> int:
 
 
 def _flag_exponents(blocks: Sequence[int], n: int) -> list[int]:
-    # e_d of Phi_d(q), 0 <= d <= 2n, in the flag count |Sp_n| / |P|: each
-    # order is a power of q times q^j - 1 over its degrees j, which are 2,
-    # 4, ..., 2n for Sp_n and 1, ..., m per block and 2, 4, ..., 2r for the
-    # Levi of P, r = n - sum(blocks); q^j - 1 is prod Phi_d(q) over d | j
+    # e_d of Phi_d(q), 0 <= d <= 2n, in the flag count |Sp_n| / |P|: the
+    # product of q^j - 1 over the degrees j of Sp_n, 2, 4, ..., 2n, over
+    # that of the Levi of P, 1, ..., m per block and 2, 4, ..., 2r with
+    # r = n - sum(blocks); q^j - 1 is prod Phi_d(q) over d | j
     r = n - sum(blocks)
     return [0] + [
         _c_multiples(n, d) - sum(m // d for m in blocks) - _c_multiples(r, d)
@@ -99,17 +99,21 @@ def _log_flag_count(blocks: Sequence[int], n: int, q: int) -> float:
     # the product and its residue check are skipped.
     quotient = _flag_quotient(blocks, n)
     _prove_exponents(quotient, _flag_exponents(blocks, n))
-    (_, degrees), (_, levi) = quotient
-    bits = (sum(degrees) - sum(levi)) * math.log2(q)
-    ln_count = partial(_ln_degree_ratio, degrees, levi, q)
+    bits = (sum(quotient[0]) - sum(quotient[1])) * math.log2(q)
+    ln_count = partial(_ln_degree_ratio, *quotient, q)
     return _log_count(bits, ln_count, partial(_flag_count, blocks, n, q))
+
+
+def _group_order(degrees: Sequence[int], q: int) -> int:
+    # q^N prod(q^j - 1): the order over F_q of the split group with these degrees
+    return q ** _positive_roots(degrees) * _order(degrees, q)
 
 
 def gl_order(m: int, q: int) -> int:
     """Order of GL_m(F_q); 1 when m = 0."""
     q, m = _field_sizes(q, m)
     _check_gl_rank(m)
-    return _order(_reductive_order(_gl_degrees(m)), q)
+    return _group_order(_gl_degrees(m), q)
 
 
 def sp_order(n: int, q: int) -> int:
@@ -118,7 +122,7 @@ def sp_order(n: int, q: int) -> int:
     q, n = _field_sizes(q, n)
     if n < 0:
         raise ValueError("n must be nonnegative")
-    return _order(_symplectic_order(n), q)
+    return _group_order(_bracket_sizes("C", n), q)
 
 
 def unipotent_radical_order(s: int, n: int, q: int) -> int:
@@ -126,8 +130,8 @@ def unipotent_radical_order(s: int, n: int, q: int) -> int:
     s-dimensional isotropic subspace acting on its associated graded."""
     q, s, n = _field_sizes(q, s, n)
     _check_subspace(s, n)
-    power, levi = _flag_quotient((s,), n)[1]
-    return q ** (power - _reductive_order(levi)[0])
+    group, levi = _flag_quotient((s,), n)
+    return q ** (_positive_roots(group) - _positive_roots(levi))
 
 
 def ig_count(s: int, n: int, q: int) -> int:
@@ -189,13 +193,13 @@ def normalized_logq_quotient(n: int, dist: ProbVec, q: int) -> float:
 
 
 def _flag_orders(n: int, dist: ProbVec):
-    # sp_quotient_closed(n, dist, q) as the verify.Quotient (|Sp_n|, |P|)
+    # sp_quotient_closed(n, dist, q) as the verify.Quotient of Sp_n over P
     return _flag_quotient(dist.scaled_counts(n)[:-1], n)
 
 
 def _gl_flag_orders(m: int, dist: ProbVec):
-    # q_multinomial(m, dist.scaled_counts(m), q) as the verify.Quotient (|GL_m|, |P|)
-    return _parabolic_quotient(_reductive_order(_gl_degrees(m)), dist.scaled_counts(m))
+    # q_multinomial(m, dist.scaled_counts(m), q) as the verify.Quotient of GL_m over P
+    return _parabolic_quotient(_gl_degrees(m), dist.scaled_counts(m))
 
 
 def symplectic_chain_identity_check(
@@ -205,11 +209,11 @@ def symplectic_chain_identity_check(
     quotient times the q-multinomial of each interior block times the
     last block's own quotient, whose tail supplies the product of
     (q^j + 1) for j from n*p_k + 1 to n*q_m.  It is proved as an identity
-    of polynomials in q from the group orders of each side, so only the
+    of polynomials in q from the degree lists of each side, so only the
     fine quotient is counted; the right side is built and multiplied out,
     as report.chain_rule_check does, only if that proof fails."""
     return _proved_chain_rule(
         (lambda m, d: sp_quotient_closed(m, d, q), _flag_orders),
         (lambda m, d: q_multinomial(m, d.scaled_counts(m), q), _gl_flag_orders),
-        1, n, dist, cmap,
+        n, dist, cmap,
     )

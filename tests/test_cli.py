@@ -310,6 +310,26 @@ def test_symplectic_schedule_only_needs_integrality(capsys):
     assert len(out.splitlines()) == 2
 
 
+@pytest.mark.parametrize(
+    "zeros, message",
+    [
+        # the certified bound leaves the float open and the count has more
+        # bits than an int can hold
+        (60, "is too large to build"),
+        # math.lgamma of the rank overflows
+        (306, "the float estimate of ln |W/W_P| overflows"),
+    ],
+)
+def test_converge_reflection_refuses_an_n_beyond_the_bound(zeros, message, capsys):
+    code, out, err = run_cli(
+        ["converge", "reflection", "--family", "B", "--n", "1" + "0" * zeros,
+         "--dist", "1/2,1/2"],
+        capsys,
+    )
+    assert (code, out) == (3, "")
+    assert err.startswith("error: ") and message in err and err.count("\n") == 1
+
+
 def test_mismatched_blocks_are_a_parse_error(capsys):
     code, _, err = run_cli(
         ["chain-check", "--target", "shannon", "--dist", "1/2,1/4,1/4", "--blocks", "2,2"],

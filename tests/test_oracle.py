@@ -490,8 +490,9 @@ ORACLE_PACKAGE_IMPORTS = {
     "_check_gl_rank",
     "ig_count",
     "sp_order",
+    "unipotent_radical_order",
+    "_group_order",
     "_flag_quotient",
-    "_order",
     "InexactDivisionError",
     "IntPolynomial",
     "Record",

@@ -65,11 +65,11 @@ def _spy_verdicts(monkeypatch, fault=None):
     verdicts = []
     proof = report._proves_coarsening
 
-    def spy(fine, parts, least):
+    def spy(fine, parts):
         parts = list(parts)
         if fault is not None:
             fine, parts = fault(fine, parts)
-        verdicts.append(proof(fine, parts, least))
+        verdicts.append(proof(fine, parts))
         return verdicts[-1]
 
     monkeypatch.setattr(report, "_proves_coarsening", spy)
@@ -212,38 +212,54 @@ def test_failed_proof_prints_the_built_right_side(monkeypatch, capsys):
 
 
 def test_proof_compares_powers_of_q_and_phi_1_only_from_least():
+    # the id predates the one rule: no power of q is carried, and every
+    # Phi_d, Phi_1 included, must cancel
     prove = report._proves_coarsening
-    # q (q - 1) is not q - 1: the powers of q differ
-    assert not prove(((1, [1]), (0, [])), [((0, [1]), (0, []))], 1)
-    assert prove(((1, [1]), (0, [])), [((1, [1]), (0, [])), ((0, []), (0, []))], 1)
-    # t^2 - 1 and [2]_t = (t^2 - 1) / (t - 1) differ by Phi_1 alone
-    assert prove(((0, [2]), (0, [])), [((0, [2]), (0, [1]))], 2)
-    assert not prove(((0, [2]), (0, [])), [((0, [2]), (0, [1]))], 1)
+    bracket_2 = ([2], [1])  # [2]_t = (t^2 - 1) / (t - 1)
+    # a bracket without its degree-1 partner is off by Phi_1
+    assert prove(bracket_2, [bracket_2])
+    assert not prove(([2], []), [bracket_2])
+    assert not prove(([4], []), [bracket_2, ([4], [2])])
     # [4]_t = [2]_t (1 + t^2): Phi_4 is left over without the second factor
-    assert prove(((0, [4]), (0, [])), [((0, [2]), (0, [])), ((0, [4]), (0, [2]))], 2)
-    assert not prove(((0, [4]), (0, [])), [((0, [2]), (0, []))], 2)
+    assert prove(([4], [1]), [bracket_2, ([4], [2])])
+    assert not prove(([4], [1]), [bracket_2])
 
 
-# every builder of a verify.Quotient (|G|, |H|) the package has, as a
-# function of (n, dist); a new count's builder joins this list
+# every builder of a verify.Quotient (js, ks) the package has, as a
+# function of (n, dist), with the count it stands for as a function of
+# (n, dist, q); a new count's builder joins this list
 QUOTIENT_BUILDERS = {
-    "flag": lambda n, d: verify._flag_quotient(d.scaled_counts(n)[:-1], n),
-    "gl-flag": symplectic._gl_flag_orders,
+    "flag": (
+        lambda n, d: verify._flag_quotient(d.scaled_counts(n)[:-1], n),
+        symplectic.sp_quotient_closed,
+    ),
+    "gl-flag": (
+        symplectic._gl_flag_orders,
+        lambda n, d, q: exact.q_multinomial(n, d.scaled_counts(n), q),
+    ),
     **{
-        f"brackets-{family}": lambda n, d, family=family: reflection._bracket_orders(
-            family, n - 1, dynkin.flag_factors(family, d.scaled_counts(n))
+        f"brackets-{family}": (
+            lambda n, d, family=family: reflection._bracket_orders(
+                family, n - 1, dynkin.flag_factors(family, d.scaled_counts(n))
+            ),
+            lambda n, d, q, family=family: reflection.orbit_poincare(family, n, d)(q),
         )
         for family in dynkin.FAMILIES
     },
 }
 
 
-@pytest.mark.parametrize("builder", QUOTIENT_BUILDERS.values(), ids=QUOTIENT_BUILDERS)
-def test_every_quotient_builder_puts_the_group_over_the_stabilizer(builder):
-    # |G| / |H| is q^a prod Phi_d(q)^{e_d} with a >= 0 and every e_d >= 0;
-    # a builder returning (|H|, |G|) would turn them negative
+@pytest.mark.parametrize("builder, count", QUOTIENT_BUILDERS.values(), ids=QUOTIENT_BUILDERS)
+def test_every_quotient_builder_puts_the_group_over_the_stabilizer(builder, count):
+    # prod (q^j - 1) / prod (q^k - 1) is prod Phi_d(q)^{e_d} with every
+    # e_d >= 0, a builder returning (ks, js) would turn them negative; and
+    # it is the count the builder stands for.  q = 3 is needed: a bracket
+    # without its degree-1 partner leaves a factor Phi_1(3) = 2, where
+    # Phi_1(2) = 1
     for n in range(2, 13):
         for parts in _positive_compositions(n, 3):
             dist = ProbVec(Fraction(m, n) for m in parts)
-            power, net = verify._phi_exponents([(1, builder(n, dist))])
-            assert power >= 0 and min(net) >= 0, (n, parts)
+            net = verify._phi_exponents([(1, builder(n, dist))])
+            assert min(net) >= 0, (n, parts)
+            for q in (2, 3):
+                assert exact.cyclotomic_product(net, q) == count(n, dist, q), (n, parts, q)

@@ -100,10 +100,13 @@ def test_orders_match_the_hand_derived_powers():
             r = n - sum(blocks)
             levi = sum(m * m for m in blocks) + r * (2 * r + 1)
             unipotent = (n * (2 * n + 1) - levi) // 2
-            power = unipotent + sum(m * (m - 1) // 2 for m in blocks) + r * r
             degrees = [j for m in blocks for j in range(1, m + 1)]
             degrees += [2 * i for i in range(1, r + 1)]
-            assert verify._flag_quotient(blocks, n)[1] == (power, degrees)
+            group, levi_degrees = verify._flag_quotient(blocks, n)
+            assert levi_degrees == degrees
+            # the unipotent radical's dimension is the N of Sp_n less the Levi's
+            roots = verify._positive_roots
+            assert roots(group) - roots(levi_degrees) == unipotent
 
 
 def _ref_flag_exponents(blocks, n):
@@ -528,7 +531,7 @@ def test_normalized_logq_quotient_proves_the_exponents_first(bits, monkeypatch):
 def test_flag_quotient_is_the_group_over_the_stabilizer_it_proves():
     blocks, n = (1, 2), 6
     quotient = verify._flag_quotient(blocks, n)
-    assert quotient == (verify._symplectic_order(n), (36, [1, 1, 2, 2, 4, 6]))
+    assert quotient == ([2, 4, 6, 8, 10, 12], [1, 1, 2, 2, 4, 6])
     exponents = symplectic._flag_exponents(blocks, n)
     verify._prove_exponents(quotient, exponents)
     with pytest.raises(InexactDivisionError):

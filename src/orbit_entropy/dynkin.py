@@ -54,10 +54,14 @@ class Diagram(Record):
         self._set_fields(family, rank)
 
 
-def _check_rank(family: str, rank: int) -> int:
-    # the rank as an int, by the rule of exact._integral
+def _check_family(family: str) -> None:
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
+
+
+def _check_rank(family: str, rank: int) -> int:
+    # the rank as an int, by the rule of exact._integral
+    _check_family(family)
     (rank,) = _integral((rank,), "ranks")
     if rank < 1:
         raise ValueError("rank must be at least 1")
@@ -231,8 +235,8 @@ def poincare_quotient(
     family: str, rank: int, factors: Sequence[tuple[str, int]]
 ) -> IntPolynomial:
     """poincare_closed(family, rank) divided by the parabolic product, as
-    one checked bracket quotient.  Factors get the same rank checks as in
-    reflection._index, so both gradings accept the same lists."""
+    one checked bracket quotient.  Each factor's family and rank are
+    checked as the group's are."""
     return _bracket_quotient(_sizes([(family, rank)]), _sizes(factors))
 
 
@@ -242,9 +246,10 @@ def flag_factors(family: str, counts: Sequence[int]) -> ParabolicType:
 
     It equals remove_nodes on the rank n-1 diagram cut at the partial sums
     of c, except for family D with c_k = 2: the list keeps a (D, 1) tail
-    of order 1 and Poincare polynomial 1, preserving the uniform closed
-    form, where the fork geometry would join the surviving tip to the
-    block before it in one type-A component.
+    of order 1 and Poincare polynomial 1, the last block's own group,
+    where the fork geometry would join the surviving tip to the block
+    before it in one type-A component.  The degree-table side reads it:
+    orbit_poincare and the chain-rule proof, not reflection's count.
     """
     *head, last = counts
     factors: ParabolicType = [("A", c - 1) for c in head if c >= 2]

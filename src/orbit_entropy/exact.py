@@ -489,6 +489,13 @@ def _log_from_ln(ln_count: decimal.Decimal, error: decimal.Decimal) -> float | N
     return _log_of_frexp(mantissa / 2**53, e)
 
 
+def _check_buildable(bits: float) -> None:
+    # ValueError for a count estimated at more bits than an int can have,
+    # sys.maxsize: it cannot be built
+    if bits > sys.maxsize:
+        raise ValueError(f"a count of about {bits:.3g} bits is too large to build")
+
+
 def _log_count(
     bits: float,
     ln_count: Callable[[], tuple[decimal.Decimal, decimal.Decimal]],
@@ -497,15 +504,11 @@ def _log_count(
     """math.log(count()), the same float bit for bit.  When the count's
     estimated bit length reaches _LOG_BOUND_BITS, the float comes from the
     certified bounds ln_count() returns, without building the count, unless
-    they leave it open.  A count left open with more bits than an int can
-    have, sys.maxsize, cannot be built either and raises ValueError."""
+    they leave it open.  A count left open that _check_buildable refuses
+    raises ValueError."""
     if bits >= _LOG_BOUND_BITS:
         value = _log_from_ln(*ln_count())
         if value is not None:
             return value
-        if bits > sys.maxsize:
-            raise ValueError(
-                f"the log bound leaves the float open, and a count of about {bits:.3g} "
-                "bits is too large to build"
-            )
+        _check_buildable(bits)
     return math.log(count())

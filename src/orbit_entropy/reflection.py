@@ -10,17 +10,12 @@ admissible set N_P.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from functools import partial
 
-from .dynkin import ParabolicType, _check_rank, _sizes, flag_factors, poincare_quotient
+from .dynkin import _check_family, _sizes, flag_factors, poincare_quotient
 from .entropy import CoarseMap, ProbVec
-from .exact import (
-    InexactDivisionError,
-    IntPolynomial,
-    _ln_factorial_ratio,
-    _log_count,
-    multinomial,
-)
+from .exact import IntPolynomial, _check_buildable, _ln_factorial_ratio, _log_count, multinomial
 from .report import IdentityReport, _proved_chain_rule
 
 __all__ = [
@@ -32,72 +27,76 @@ __all__ = [
 ]
 
 
-def _index_terms(
-    family: str, rank: int, factors: ParabolicType
-) -> tuple[int, list[int], int]:
-    # (m, parts, twos) with |W|/|W_P| = m! / prod(p! for p in parts) * 2^twos:
-    # |W| = m! 2^twos with m = rank + 1 for A and m = rank, twos = rank
-    # (rank - 1 for D) otherwise; an A_r factor is (r + 1)!, a B/C_r factor
-    # r! 2^r and a D_r factor r! 2^{r-1}.  Both the count and its log start
-    # here, so both validate the same way.
-    rank = _check_rank(family, rank)
-    m = rank + 1 if family == "A" else rank
-    twos = 0 if family == "A" else rank - (family == "D")
-    parts = []
-    for fam, r in factors:
-        r = _check_rank(fam, r)
-        if fam == "A":
-            parts.append(r + 1)
-        else:
-            parts.append(r)
-            twos -= r - (fam == "D")
-    if sum(parts) > m or twos < 0:
-        raise InexactDivisionError(f"factors {factors} do not fit in {family}{rank}")
-    return m, parts, twos
-
-
-def _index(family: str, rank: int, factors: ParabolicType) -> int:
-    # the length generating function at t = 1, without building it or
-    # dividing: the multinomial of m over the parts and the rest (the
-    # rank-0 blocks), times rest! and the 2s left over
-    m, parts, twos = _index_terms(family, rank, factors)
-    rest = m - sum(parts)
-    return multinomial(m, parts + [rest]) * math.factorial(rest) << twos
-
-
-def _log_index(family: str, rank: int, factors: ParabolicType) -> float:
-    # math.log(_index(...)); from exact._LOG_BOUND_BITS on, by Stirling
-    # bounds on the ln k! terms, without building the index
-    m, parts, twos = _index_terms(family, rank, factors)
+def _index_terms(family: str, counts: Sequence[int]) -> tuple[int, list[int], int, float]:
+    # (m, parts, twos, bits) with |W|/|W_P| = m! / prod(p! for p in parts) * 2^twos
+    # for the flag shape counts of n = sum(counts) >= 2, and bits the float
+    # estimate of its bit length: |W| is n! for A and (n - 1)! 2^(n - 1) for
+    # B/C (2^(n - 2) for D), W_P the c_i! of the blocks but the last times
+    # the family's group of rank c_k - 1 (D_1 has order 1, and c_k = 1
+    # leaves no D factor).  Both the count and its log start here, so both
+    # validate and refuse the same way.
+    _check_family(family)
+    n = sum(counts)
+    if family == "A":
+        m, parts, twos = n, list(counts), 0
+    else:
+        *head, last = counts
+        m, parts = n - 1, head + [last - 1]
+        twos = n - (max(last, 2) if family == "D" else last)
     try:
         ln_estimate = math.lgamma(m + 1) - sum(math.lgamma(p + 1) for p in parts)
     except OverflowError:
         raise ValueError("rank too large: the float estimate of ln |W/W_P| overflows") from None
-    bits = ln_estimate / math.log(2) + twos
+    return m, parts, twos, ln_estimate / math.log(2) + twos
+
+
+def _index(family: str, counts: Sequence[int]) -> int:
+    # the length generating function at t = 1, without building it or dividing
+    m, parts, twos, bits = _index_terms(family, counts)
+    _check_buildable(bits)
+    return multinomial(m, parts) << twos
+
+
+def _log_index(family: str, counts: Sequence[int]) -> float:
+    # math.log(_index(...)); from exact._LOG_BOUND_BITS on, by Stirling
+    # bounds on the ln k! terms, without building the index
+    m, parts, twos, bits = _index_terms(family, counts)
     return _log_count(
         bits,
         partial(_ln_factorial_ratio, m, parts, twos),
-        partial(_index, family, rank, factors),
+        partial(_index, family, counts),
     )
 
 
 def _orbit(family: str, n: int, dist: ProbVec, quotient, one):
+    # quotient(family, counts) for the flag shape counts = n*P; the rank-0
+    # group at n = 1 is trivial, but its family is checked all the same
     counts = dist.scaled_counts(n)
+    _check_family(family)
     if n == 1:
         return one
-    return quotient(family, n - 1, flag_factors(family, counts))
+    return quotient(family, counts)
+
+
+def _by_flag_factors(quotient, family: str, counts: Sequence[int]):
+    # a quotient of dynkin's degree table: the rank n - 1 group over flag_factors
+    return quotient(family, sum(counts) - 1, flag_factors(family, counts))
 
 
 def orbit_count(family: str, n: int, dist: ProbVec) -> int:
     """|W|/|W_P| for the rank n-1 group of the family, with W_P the
-    parabolic dictated by the scaled distribution n*P."""
+    parabolic dictated by the scaled distribution n*P.  ValueError refuses
+    an n whose count has more bits than an int can hold, or whose float
+    estimate of the log overflows."""
     return _orbit(family, n, dist, _index, 1)
 
 
 def orbit_poincare(family: str, n: int, dist: ProbVec) -> IntPolynomial:
     """Length generating function of the quotient, by exact polynomial
     division; evaluates to orbit_count at t = 1."""
-    return _orbit(family, n, dist, poincare_quotient, IntPolynomial.one())
+    return _orbit(
+        family, n, dist, partial(_by_flag_factors, poincare_quotient), IntPolynomial.one()
+    )
 
 
 def normalized_log_orbit(family: str, n: int, dist: ProbVec) -> float:
@@ -115,7 +114,7 @@ def normalized_log_orbit(family: str, n: int, dist: ProbVec) -> float:
     return _orbit(family, n, dist, _log_index, 0.0) / n
 
 
-def _bracket_orders(family: str, rank: int, factors: ParabolicType):
+def _bracket_orders(family: str, rank: int, factors: Sequence[tuple[str, int]]):
     # poincare_quotient's two bracket-size lists as a verify.Quotient:
     # [a]_t = (t^a - 1) / (t - 1), so each size sits on its own side and
     # a degree 1 on the other
@@ -125,10 +124,8 @@ def _bracket_orders(family: str, rank: int, factors: ParabolicType):
 
 def _grading(count, family: str):
     # a count of the family and the bracket sizes that prove its chain rule
-    return (
-        partial(count, family),
-        partial(_orbit, family, quotient=_bracket_orders, one=([], [])),
-    )
+    orders = partial(_by_flag_factors, _bracket_orders)
+    return partial(count, family), partial(_orbit, family, quotient=orders, one=([], []))
 
 
 def coarsening_cardinality_check(

@@ -330,6 +330,31 @@ def test_converge_reflection_refuses_an_n_beyond_the_bound(zeros, message, capsy
     assert err.startswith("error: ") and message in err and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "command, family, zeros, message",
+    [
+        # counts of more bits than an int can hold; chain-check builds the
+        # count as its lhs
+        (["count", "reflection"], "B", 60, "is too large to build"),
+        (["chain-check", "--target", "reflective-cardinality", "--blocks", "1,1"],
+         "B", 60, "is too large to build"),
+        (["count", "reflection"], "A", 20, "is too large to build"),
+        # math.lgamma of n overflows before the count's size is known
+        (["count", "reflection"], "B", 306, "the float estimate of ln |W/W_P| overflows"),
+    ],
+    ids=("count-B-1e60", "chain-check-B-1e60", "count-A-1e20", "count-B-1e306"),
+)
+def test_reflection_count_refuses_an_n_too_large_to_build(
+    command, family, zeros, message, capsys
+):
+    code, out, err = run_cli(
+        command + ["--family", family, "--n", "1" + "0" * zeros, "--dist", "1/2,1/2"],
+        capsys,
+    )
+    assert (code, out) == (3, "")
+    assert err.startswith("error: ") and message in err and err.count("\n") == 1
+
+
 def test_mismatched_blocks_are_a_parse_error(capsys):
     code, _, err = run_cli(
         ["chain-check", "--target", "shannon", "--dist", "1/2,1/4,1/4", "--blocks", "2,2"],

@@ -25,7 +25,6 @@ from orbit_entropy.dynkin import (
 )
 from orbit_entropy.entropy import ProbVec
 from orbit_entropy.exact import InexactDivisionError, IntPolynomial
-from orbit_entropy.reflection import _index
 
 
 def test_group_order_table():
@@ -218,9 +217,7 @@ def test_poincare_quotient_value_at_one_is_index(case):
     "factors", ([("E", 2)], [("A", 0)], [("A", -3)], [("X", 1)]), ids=repr
 )
 def test_both_gradings_reject_the_same_factors(factors):
-    # the cardinality and the length-graded quotients accept the same lists
-    with pytest.raises(ValueError):
-        _index("A", 5, factors)
+    # the length-graded quotient checks each factor's family and rank
     with pytest.raises(ValueError):
         poincare_quotient("A", 5, factors)
 

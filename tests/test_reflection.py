@@ -1,7 +1,6 @@
 """Orbit cardinalities under distribution-shaped stabilizers, their length
 generating polynomials, and the coarse-graining identities."""
 
-import itertools
 import math
 from fractions import Fraction
 
@@ -10,14 +9,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from orbit_entropy import exact, reflection
 from orbit_entropy.cli import _positive_compositions
-from orbit_entropy.dynkin import (
-    Diagram,
-    flag_factors,
-    group_order,
-    remove_nodes,
-)
+from orbit_entropy.dynkin import flag_factors, group_order
 from orbit_entropy.entropy import CoarseMap, ProbVec, reflective
-from orbit_entropy.exact import InexactDivisionError, IntPolynomial, exact_div, multinomial
+from orbit_entropy.exact import IntPolynomial, exact_div, multinomial
 from orbit_entropy.reflection import (
     _index,
     coarsening_cardinality_check,
@@ -170,6 +164,23 @@ def test_cardinality_is_the_poincare_grading_at_one(case):
     assert poly.lhs == orbit_poincare(family, n, dist)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: orbit_count("E", 1, ProbVec(("1",))),
+        lambda: orbit_poincare("Q", 1, ProbVec(("1",))),
+        lambda: normalized_log_orbit("E", 1, ProbVec(("1",))),
+        lambda: coarsening_cardinality_check("E", 1, ProbVec(("1",)), CoarseMap((1,))),
+        lambda: coarsening_poincare_check("E", 1, ProbVec(("1",)), CoarseMap((1,))),
+    ],
+    ids=("count", "poincare", "log", "cardinality-check", "poincare-check"),
+)
+def test_unknown_family_is_refused_at_n_one(call):
+    # the rank-0 group at n = 1 is trivial, whatever the family is called
+    with pytest.raises(ValueError, match="unknown family"):
+        call()
+
+
 def _index_by_division(family, rank, factors):
     parabolic = math.prod(group_order(f, r) for f, r in factors)
     return exact_div(group_order(family, rank), parabolic)
@@ -177,55 +188,22 @@ def _index_by_division(family, rank, factors):
 
 @pytest.mark.parametrize("family", ("A", "B", "C", "D"))
 def test_index_matches_the_division_on_flag_factors(family):
-    # every composition up to n = 12, and every one into at most 4 parts up
-    # to n = 30 (all compositions up to 30 would be 2^29 of them)
+    # the factorial formula on the flag shape against the division of the
+    # degree table's orders on flag_factors: every composition up to
+    # n = 12, and every one into at most 4 parts up to n = 30 (all
+    # compositions up to 30 would be 2^29 of them)
     for n in range(2, 31):
         for counts in _positive_compositions(n, n if n <= 12 else 4):
-            factors = flag_factors(family, counts)
-            assert _index(family, n - 1, factors) == _index_by_division(
-                family, n - 1, factors
+            assert _index(family, counts) == _index_by_division(
+                family, n - 1, flag_factors(family, counts)
             ), (n, counts)
 
 
-def test_index_matches_the_division_on_removals():
-    # the one exception is a removal of D that keeps both fork tips as
-    # separate A1 components with no spare coordinate for them: their
-    # orders multiply to that of D2, but as two type-A blocks they count
-    # four coordinates where D2 has two, so the multinomial form has no
-    # room and the list is refused, never divided
-    refused = []
-    for family in ("A", "B", "C", "D"):
-        for rank in range(2 if family == "D" else 1, 9):
-            diagram = Diagram(family, rank)
-            for size in range(rank + 1):
-                for removal in itertools.combinations(range(1, rank + 1), size):
-                    factors = remove_nodes(diagram, removal)
-                    try:
-                        value = _index(family, rank, factors)
-                    except InexactDivisionError:
-                        refused.append((family, rank, removal))
-                        continue
-                    assert value == _index_by_division(family, rank, factors)
-    for family, rank, removal in refused:
-        assert family == "D"
-        assert {rank - 1, rank}.isdisjoint(removal)
-        assert rank == 2 or rank - 2 in removal
-    assert len(refused) == 31
-
-
 def test_index_rejects_bad_factor_lists():
-    # the factors the division rejects, through the same rank checks
-    for factors in ([("E", 2)], [("A", 0)], [("A", -3)], [("X", 1)]):
-        with pytest.raises(ValueError):
-            _index("A", 5, factors)
-    with pytest.raises(ValueError):
-        _index("E", 5, [])
-    # more coordinates than the group has; and sign changes where A has
-    # none, a list the division would have turned into 24/8 = 3
-    with pytest.raises(InexactDivisionError):
-        _index("A", 3, [("A", 4)])
-    with pytest.raises(InexactDivisionError):
-        _index("A", 3, [("B", 2)])
+    # the one input the shape formula validates itself; the counts come
+    # checked from ProbVec.scaled_counts
+    with pytest.raises(ValueError, match="unknown family 'E'"):
+        _index("E", (3, 3))
 
 
 # --- normalized_log_orbit from certified bounds -----------------------------
@@ -311,9 +289,9 @@ def test_bad_input_raises_alike_on_both_sides_of_the_crossover(n, dist, monkeypa
 
 @pytest.mark.parametrize("n", (48, 16384))
 def test_factors_that_do_not_fit_raise_alike_on_both_sides(n, monkeypatch):
-    monkeypatch.setattr(reflection, "flag_factors", lambda family, counts: [("A", sum(counts))])
-    seen = {_raised(lambda: orbit_count("B", n, LARGE))}
+    # a family with no degree table, below and above the crossover
+    seen = {_raised(lambda: orbit_count("E", n, LARGE))}
     for bits in (0, math.inf):
         monkeypatch.setattr(exact, "_LOG_BOUND_BITS", bits)
-        seen.add(_raised(lambda: normalized_log_orbit("B", n, LARGE)))
-    assert seen == {(InexactDivisionError, f"factors [('A', {n})] do not fit in B{n - 1}")}
+        seen.add(_raised(lambda: normalized_log_orbit("E", n, LARGE)))
+    assert seen == {(ValueError, "unknown family 'E'")}

@@ -1,19 +1,32 @@
 """Brute-force validators at tiny scale.
 
-Every word is enumerated and its symbol frequencies read off. Reflection
-groups are closed under explicit multiplication acting on their root
-systems, each root system being the closure of the simple roots under
-their reflections, built once per (family, rank). Subspaces of F_q^{2n}
-are one-step flags, enumerated through canonical echelon bases and kept
-when the standard alternating form omega vanishes on each pair of basis
-vectors. omega is a cached function, computed once per pair of vectors
-it is read on, by the Sp_2n column search too. GL_m and Sp_2n are
-filled in column by column, depth first: each GL branch carries the
-span of its columns down the tree and counts the candidates for its
-last column, and Sp_2n is cached, enumerated once per (n, q). The
-orbit-stabilizer check acts by columns: the first s columns of a group
-element span its image of the coordinate subspace, and each tuple of
-columns, like each echelon basis, is spanned once by the cached _span.
+Every word is enumerated and its symbol frequencies read off.
+
+Reflection groups act on their root systems, each root system being the
+closure of the simple roots under their reflections. Each (family, rank)
+group is closed once, by composing root permutations with
+bytes.translate, under the group_order cap; the closure keeps each
+element's length (the positive roots it sends negative) and, per simple
+reflection, the number of the element it moves each element to. A
+parabolic census is a breadth-first walk from the identity over its
+surviving generators' moves.
+
+A vector of F_q^dim is coded by its index in itertools.product order, and
+one table per (dim, q), built on first use, gives u + c v for codes u, v
+and c in F_q as a bytes.translate table, so a span is listed as the codes
+of its vectors and spans are frozensets of codes. The standard
+alternating form omega is a cached function, computed once per pair of
+codes it is read on. Subspaces of F_q^{2n} are one-step flags: canonical
+echelon bases are kept when omega vanishes on each pair of their rows,
+and the list of spans of one dimension is built once per (s, n, q),
+shared by the subspace count and every flag shape. GL_m and Sp_2n are
+filled in column by column. Each GL branch carries the span of its
+columns down the tree, depth first, and counts the candidates for its
+last column outside it. Sp_2n is enumerated once per (n, q): each column
+is looked up as the intersection of level sets of omega against the
+columns before it. The orbit-stabilizer check acts by columns: the first
+s columns of a group element span its image of the coordinate subspace,
+and each distinct tuple of them is spanned once.
 
 Nothing here reuses the closed forms it exists to validate; the only
 closed-form imports are the expected sizes used as closure caps and the
@@ -29,6 +42,7 @@ an error, not a best-effort attempt.
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import operator
@@ -112,16 +126,17 @@ def _simple_roots(family: str, rank: int) -> list[tuple[int, ...]]:
     return chain + [_root(rank, rank - 2, rank - 1, 1)]
 
 
-def _positive_roots(simples: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
-    # every root is the image of a simple root under the simple
-    # reflections; the positive ones lead with a positive entry
+def _roots(simples: list[tuple[int, ...]]) -> dict[tuple[int, ...], list[tuple[int, ...]]]:
+    # every root, the closure of the simple roots under the simple
+    # reflections, with its image under each simple reflection
     reflections = list(map(_reflection, simples))
-    roots = set(simples)
-    frontier = roots
+    images = {}
+    frontier = simples
     while frontier:
-        frontier = {s(r) for r in frontier for s in reflections} - roots
-        roots |= frontier
-    return sorted(r for r in roots if next(x for x in r if x) > 0)
+        for r in frontier:
+            images[r] = [s(r) for s in reflections]
+        frontier = {x for r in frontier for x in images[r]} - images.keys()
+    return images
 
 
 def _reflection(alpha: tuple[int, ...]):
@@ -130,69 +145,56 @@ def _reflection(alpha: tuple[int, ...]):
     den = sum(a * a for a in alpha)
 
     def reflect(v: tuple[int, ...]) -> tuple[int, ...]:
-        num = 2 * sum(map(operator.mul, v, alpha))
-        c = num // den
-        if c * den != num:
+        c, rem = divmod(2 * sum(map(operator.mul, v, alpha)), den)
+        if rem:
             raise InexactDivisionError("non-integral reflection coefficient")
-        return tuple(a - c * b for a, b in zip(v, alpha))
+        return tuple([a - c * b for a, b in zip(v, alpha)]) if c else v
 
     return reflect
 
 
-def _root_permutation(reflect, pos: list[tuple[int, ...]], index: dict) -> tuple[int, ...]:
-    # signed 1-based images of each positive root under the reflection
-    out = []
-    for rho in pos:
-        image = reflect(rho)
-        if image in index:
-            out.append(index[image] + 1)
-        else:
-            out.append(-(index[tuple(-x for x in image)] + 1))
-    return tuple(out)
+def _root_system(family: str, rank: int) -> tuple[int, list[bytes]]:
+    # the number npos of positive roots, those leading with a positive
+    # entry, and each simple reflection as a bytes.translate table on the
+    # roots' indices in sorted order.  A root leading with a negative entry
+    # sorts below every positive one, so the negative roots take 0..npos-1
+    # and the positive ones npos..2npos-1; indices past them map to
+    # themselves.
+    images = _roots(_simple_roots(family, rank))
+    roots = sorted(images)
+    index = {r: i for i, r in enumerate(roots)}
+    rest = bytes(range(len(roots), 256))
+    return len(roots) // 2, [
+        bytes([index[images[r][i]] for r in roots]) + rest for i in range(rank)
+    ]
 
 
 @functools.cache
-def _root_system(family: str, rank: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
-    # the number of positive roots and the permutations of them by the
-    # simple reflections, in node order: one closure per (family, rank)
-    simples = _simple_roots(family, rank)
-    pos = _positive_roots(simples)
-    index = {r: i for i, r in enumerate(pos)}
-    return len(pos), tuple(
-        _root_permutation(_reflection(a), pos, index) for a in simples
-    )
-
-
-def _close_group(
-    generators: list[tuple[int, ...]], npos: int, cap: int
-) -> set[tuple[int, ...]]:
-    # elements are stored as (0, images of roots 1..npos) and each generator
-    # s as (0, s, -s reversed), so that s[-j] = -s[j] and itemgetter(*g)(s),
-    # first g then s, is a tuple even at npos = 1
-    signed = [(0,) + s + tuple(-j for j in reversed(s)) for s in generators]
-    identity = tuple(range(npos + 1))
-    seen = {identity}
-    frontier = [identity]
-    while frontier:
-        fresh = []
-        for g in frontier:
-            pick = operator.itemgetter(*g)
-            for s in signed:
-                h = pick(s)
-                if h not in seen:
-                    seen.add(h)
-                    fresh.append(h)
-        if len(seen) > cap:
-            raise InexactDivisionError("group closure exceeded the expected order")
-        frontier = fresh
-    return seen
-
-
-def _census(elements: Iterable[tuple[int, ...]], npos: int) -> IntPolynomial:
-    coeffs = [0] * (npos + 1)
-    for g in elements:
-        coeffs[sum(1 for j in g if j < 0)] += 1
-    return IntPolynomial(coeffs)
+def _group(family: str, rank: int) -> tuple[bytes, tuple[tuple[int, ...], ...]]:
+    # the whole group, closed once per (family, rank) under the group_order
+    # cap.  An element is the bytes of its images of the positive roots,
+    # which determine it, and is numbered in order of discovery; the
+    # closure returns each element's length, the number of those images
+    # that are negative, and per simple reflection s the number of s g for
+    # each element g
+    npos, reflections = _root_system(family, rank)
+    cap = group_order(family, rank)
+    identity = bytes(range(npos, 2 * npos))
+    number = {identity: 0}
+    elements = [identity]
+    moves = [[] for _ in reflections]
+    for g in elements:  # the list grows as the closure finds elements
+        for s, row in zip(reflections, moves):
+            h = g.translate(s)
+            k = number.setdefault(h, len(elements))
+            if k == len(elements):
+                if k == cap:
+                    raise InexactDivisionError("group closure exceeded the expected order")
+                elements.append(h)
+            row.append(k)
+    # deleting the positive indices leaves the negative images
+    lengths = bytes(len(g.translate(None, identity)) for g in elements)
+    return lengths, tuple(map(tuple, moves))
 
 
 def reflection_length_census(family: str, rank: int) -> IntPolynomial:
@@ -213,11 +215,20 @@ def parabolic_length_census(
     """Same census over the subgroup generated by the simple reflections
     that survive the removal; lengths stay ambient."""
     (rank,) = _integral((rank,), "ranks")
-    npos, reflections = _root_system(family, rank)
+    lengths, moves = _group(family, rank)
     removed = _check_removal(rank, removal)
-    gens = [s for i, s in enumerate(reflections, start=1) if i not in removed]
-    elements = _close_group(gens, npos, group_order(family, rank))
-    return _census(elements, npos)
+    rows = [row for i, row in enumerate(moves, start=1) if i not in removed]
+    # breadth first from the identity over the surviving generators' moves
+    reached = [0]
+    seen = {0}
+    for g in reached:  # the list grows as the walk finds elements
+        for row in rows:
+            h = row[g]
+            if h not in seen:
+                seen.add(h)
+                reached.append(h)
+    census = bytes(map(lengths.__getitem__, reached))
+    return IntPolynomial(map(census.count, range(max(census) + 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -230,54 +241,86 @@ def _check_field(q: int) -> None:
 
 
 @functools.cache
-def _omega(u: tuple[int, ...], v: tuple[int, ...], q: int) -> int:
-    # the standard alternating form on F_q^{2n}: sum over i < n of
-    # u_i v_{n+i} - u_{n+i} v_i
-    n = len(u) // 2
-    return sum(u[i] * v[n + i] - u[n + i] * v[i] for i in range(n)) % q
+def _field(dim: int, q: int) -> tuple[list[tuple[int, ...]], list[tuple[bytes, ...]]]:
+    # the vectors of F_q^dim, each coded by its index in itertools.product
+    # order, and the table of u + c v: for each code v, one bytes.translate
+    # table per c in 0..q-1 sending each code u to the code of u + c v.
+    # The caps keep q^dim <= 81, so a code fits a byte.
+    vectors = list(itertools.product(range(q), repeat=dim))
+    size = len(vectors)
+    rest = bytes(range(size, 256))
+    # adding e_i raises coordinate i by one, mod q: the code by q^(dim-1-i)
+    units = []
+    for i in range(dim):
+        step = q ** (dim - 1 - i)
+        wrap = q * step
+        raised = [u + step - wrap * (v[i] == q - 1) for u, v in enumerate(vectors)]
+        units.append(bytes(raised) + rest)
+    # u + w is u + (w - e_i) + e_i, for i the last nonzero coordinate of w
+    shifts = [bytes(range(256))]
+    for w, v in enumerate(vectors[1:], start=1):
+        i = max(i for i, x in enumerate(v) if x)
+        shifts.append(shifts[w - q ** (dim - 1 - i)].translate(units[i]))
+    # the line of v: the tables of u + c v, c v being v added c times to 0
+    lines = []
+    for add_v in shifts:
+        line, multiple = [], 0
+        for _ in range(q):
+            line.append(shifts[multiple])
+            multiple = add_v[multiple]
+        lines.append(tuple(line))
+    return vectors, lines
 
 
-def _rref_bases(s: int, dim: int, q: int):
-    # canonical reduced echelon bases: one per s-dimensional subspace
-    for pivots in itertools.combinations(range(dim), s):
-        pivot_set = set(pivots)
-        free = [
-            (row, col)
-            for row in range(s)
-            for col in range(pivots[row] + 1, dim)
-            if col not in pivot_set
-        ]
-        template = [[int(col == pivot) for col in range(dim)] for pivot in pivots]
-        for values in itertools.product(range(q), repeat=len(free)):
-            rows = [r[:] for r in template]
-            for (row, col), val in zip(free, values):
-                rows[row][col] = val
-            yield tuple(map(tuple, rows))
+def _extend_span(span: bytes, line: tuple[bytes, ...]) -> bytes:
+    # the codes of span and v listed from those of span and the table line
+    # of v: span + c v for each c, the span's codes listed once each when v
+    # lies outside it
+    return b"".join([span.translate(table) for table in line])
 
 
-def _extend_span(span: frozenset, v: tuple[int, ...], q: int) -> frozenset:
-    # the span of span's vectors and v: each of them plus each multiple of v
-    multiples = [[c * x % q for x in v] for c in range(1, q)]
-    return span.union(
-        [tuple([(a + b) % q for a, b in zip(u, w)]) for w in multiples for u in span]
-    )
+def _span(rows: Sequence[int], dim: int, q: int) -> frozenset:
+    table = _field(dim, q)[1]
+    span = b"\0"
+    for v in rows:
+        span = _extend_span(span, table[v])
+    return frozenset(span)
 
 
 @functools.cache
-def _span(rows, dim: int, q: int) -> frozenset:
-    span = frozenset([(0,) * dim])
-    for row in rows:
-        span = _extend_span(span, row, q)
-    return span
+def _omega(u: int, v: int, n: int, q: int) -> int:
+    # the standard alternating form on F_q^{2n} at two codes: sum over
+    # i < n of u_i v_{n+i} - u_{n+i} v_i
+    vectors = _field(2 * n, q)[0]
+    x, y = vectors[u], vectors[v]
+    return (sum(map(operator.mul, x[:n], y[n:])) - sum(map(operator.mul, x[n:], y[:n]))) % q
 
 
-def _isotropic_spans(s: int, n: int, q: int) -> list[frozenset]:
-    dim = 2 * n
-    return [
-        _span(rows, dim, q)
-        for rows in _rref_bases(s, dim, q)
-        if all(_omega(u, v, q) == 0 for u, v in itertools.combinations(rows, 2))
-    ]
+def _rref_bases(s: int, dim: int, q: int):
+    # canonical reduced echelon bases, one per s-dimensional subspace, as
+    # tuples of row codes: coordinate col weighs q^(dim-1-col)
+    for pivots in itertools.combinations(range(dim), s):
+        free = [
+            (row, q ** (dim - 1 - col))
+            for row in range(s)
+            for col in range(pivots[row] + 1, dim)
+            if col not in pivots
+        ]
+        for values in itertools.product(range(q), repeat=len(free)):
+            rows = [q ** (dim - 1 - pivot) for pivot in pivots]
+            for (row, weight), val in zip(free, values):
+                rows[row] += val * weight
+            yield tuple(rows)
+
+
+@functools.cache
+def _isotropic_spans(s: int, n: int, q: int) -> tuple[frozenset, ...]:
+    # one list per (s, n, q), shared by the subspace count and every flag shape
+    return tuple(
+        _span(rows, 2 * n, q)
+        for rows in _rref_bases(s, 2 * n, q)
+        if all(_omega(u, v, n, q) == 0 for u, v in itertools.combinations(rows, 2))
+    )
 
 
 def enumerate_isotropic_subspaces(s: int, n: int, q: int) -> int:
@@ -317,47 +360,46 @@ def enumerate_general_linear(m: int, q: int) -> int:
         raise ValueError(f"general linear enumeration capped at q^(m*m) <= {MAX_LISTED}")
     if m == 0:
         return 1
-    vectors = list(itertools.product(range(q), repeat=m))
+    table = _field(m, q)[1]
+    codes = frozenset(range(q ** m))
 
-    def completions(span: frozenset, depth: int) -> int:
-        # depth-first, each branch carrying the span of its columns; the
-        # last column's candidates are counted, not extended
-        fresh = [v for v in vectors if v not in span]
+    def completions(span: bytes, depth: int) -> int:
+        # depth-first, each branch carrying the codes of its columns' span;
+        # the last column's candidates are counted, not extended
+        fresh = codes.difference(span)
         if depth == m - 1:
             return len(fresh)
-        return sum(completions(_extend_span(span, v, q), depth + 1) for v in fresh)
+        return sum(completions(_extend_span(span, table[v]), depth + 1) for v in fresh)
 
-    return completions(_span((), m, q), 0)
+    return completions(b"\0", 0)
 
 
 @functools.cache
-def _symplectic_elements(n: int, q: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    # the whole group as column tuples, filled in column by column
-    # depth-first under the form constraints; enumerated once per (n, q)
+def _symplectic_elements(n: int, q: int) -> tuple[tuple[int, ...], ...]:
+    # the whole group as tuples of column codes, enumerated once per (n, q)
+    # and filled in column by column: the first column is any vector, and
+    # column k a v with omega(c_i, v) = omega(e_i, e_k) for each earlier
+    # column c_i, so the candidates are an intersection of level sets of
+    # omega(c_i, .), one per c_i
     q, n = _field_sizes(q, n)
     _check_field(q)
     if (n, q) not in SP_FEASIBLE:
         raise ValueError(f"enumeration feasible only for (n, q) in {sorted(SP_FEASIBLE)}")
     dim = 2 * n
-    vectors = list(itertools.product(range(q), repeat=dim))
-    basis = [_root(dim, i) for i in range(dim)]
-    found = []
-
-    def extend(cols: tuple) -> None:
-        # column k is a v with omega(c_i, v) = omega(e_i, e_k) for each earlier c_i
-        if len(cols) == dim:
-            found.append(cols)
-            return
-        e_k = basis[len(cols)]
-        candidates = vectors
-        for c, e_i in zip(cols, basis):
-            w = _omega(e_i, e_k, q)
-            candidates = [v for v in candidates if _omega(c, v, q) == w]
-        for v in candidates:
-            extend(cols + (v,))
-
-    extend(())
-    return tuple(found)
+    codes = range(q ** dim)
+    levels = [[set() for _ in range(q)] for _ in codes]
+    for u, v in itertools.product(codes, repeat=2):
+        levels[u][_omega(u, v, n, q)].add(v)
+    basis = [q ** (dim - 1 - i) for i in range(dim)]  # the codes of e_1..e_2n
+    elements = [(v,) for v in codes]
+    for k in range(1, dim):
+        targets = [_omega(e_i, basis[k], n, q) for e_i in basis[:k]]
+        elements = [
+            cols + (v,)
+            for cols in elements
+            for v in set.intersection(*[levels[c][w] for c, w in zip(cols, targets)])
+        ]
+    return tuple(elements)
 
 
 def enumerate_symplectic_group(n: int, q: int) -> int:
@@ -395,20 +437,17 @@ def stabilizer_and_orbit_check(s: int, n: int, q: int = 2) -> OrbitStabilizerRep
     _check_subspace(s, n)
     group = _symplectic_elements(n, q)
     dim = 2 * n
-    base = _span(tuple(_root(dim, i) for i in range(s)), dim, q)
+    base = _span([q ** (dim - 1 - i) for i in range(s)], dim, q)
     _, levi = _flag_quotient((s,), n)
-    orbit = set()
-    stabilizer = 0
-    for g in group:
-        # g's first s columns are its images of e_1..e_s, so they span
-        # g(base); each distinct tuple of them is spanned once
-        image = _span(g[:s], dim, q)
-        orbit.add(image)
-        if image == base:
-            stabilizer += 1
+    # g's first s columns are its images of e_1..e_s, so they span g(base);
+    # each distinct tuple of them is spanned once
+    columns = collections.Counter(map(operator.itemgetter(slice(s)), group))
+    images = collections.Counter()
+    for cols, count in columns.items():
+        images[_span(cols, dim, q)] += count
     return OrbitStabilizerReport(
-        orbit_size=len(orbit),
-        stabilizer_size=stabilizer,
+        orbit_size=len(images),
+        stabilizer_size=images[base],
         group_size=len(group),
         expected_orbit=ig_count(s, n, q),
         expected_stabilizer=unipotent_radical_order(s, n, q) * _group_order(levi, q),

@@ -16,6 +16,7 @@ from .dynkin import _bracket_sizes
 from .entropy import CoarseMap, ProbVec
 from .exact import (
     Record,
+    _check_buildable,
     _field_sizes,
     _integral,
     _ln_degree_ratio,
@@ -84,8 +85,23 @@ def _flag_exponents(blocks: Sequence[int], n: int) -> list[int]:
     ]
 
 
+def _flag_bits(blocks: Sequence[int], n: int, q: int) -> float:
+    # D log2 q, the float estimate of the flag count's bit length, with D =
+    # n(n + 1) - sum m(m + 1)/2 - r(r + 1) the sum of Sp_n's degrees less
+    # those of the Levi of P; inf once D passes the float range
+    r = n - sum(blocks)
+    degrees = n * (n + 1) - sum(m * (m + 1) // 2 for m in blocks) - r * (r + 1)
+    try:
+        return degrees * math.log2(q)
+    except OverflowError:
+        return math.inf
+
+
 def _flag_count(blocks: Sequence[int], n: int, q: int) -> int:
-    # the exponent vector, evaluated once and checked by verify.check_count
+    # the exponent vector, evaluated once and checked by verify.check_count;
+    # a count too large to build is refused before any list of about 2n
+    # entries is made
+    _check_buildable(_flag_bits(blocks, n, q))
     exponents = _flag_exponents(blocks, n)
     value = cyclotomic_product(exponents, q)
     check_count(_flag_quotient(blocks, n), q, exponents, value)
@@ -93,13 +109,16 @@ def _flag_count(blocks: Sequence[int], n: int, q: int) -> int:
 
 
 def _log_flag_count(blocks: Sequence[int], n: int, q: int) -> float:
-    # math.log(_flag_count(blocks, n, q)).  The exponent vector is proved
-    # against the quotient's degree lists first, on both paths.  From
+    # math.log(_flag_count(blocks, n, q)).  A count too large to build is
+    # refused first, as _flag_count refuses it, since the bound below also
+    # reads the quotient's degree lists of about 2n entries.  The exponent
+    # vector is proved against those lists, on both paths.  From
     # exact._LOG_BOUND_BITS on, the log is bounded over those lists; only
     # the product and its residue check are skipped.
+    bits = _flag_bits(blocks, n, q)
+    _check_buildable(bits)
     quotient = _flag_quotient(blocks, n)
     _prove_exponents(quotient, _flag_exponents(blocks, n))
-    bits = (sum(quotient[0]) - sum(quotient[1])) * math.log2(q)
     ln_count = partial(_ln_degree_ratio, *quotient, q)
     return _log_count(bits, ln_count, partial(_flag_count, blocks, n, q))
 

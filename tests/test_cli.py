@@ -355,6 +355,26 @@ def test_reflection_count_refuses_an_n_too_large_to_build(
     assert err.startswith("error: ") and message in err and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["count", "symplectic", "--q", "2", "--dist", "1/2,1/2"],
+        ["count", "isotropic", "--q", "2", "--s", "1"],
+        ["converge", "symplectic", "--q", "2", "--dist", "1/2,1/2"],
+        ["chain-check", "--target", "symplectic-cardinality", "--q", "2",
+         "--dist", "1/2,1/4,1/4", "--blocks", "1,2"],
+    ],
+    ids=("count-symplectic", "count-isotropic", "converge-symplectic", "chain-check"),
+)
+def test_symplectic_commands_refuse_an_n_too_large_to_build(command, capsys):
+    # D log2 q bits, D = n(n + 1) - sum m(m + 1)/2 - r(r + 1), is read in
+    # closed form before any list of about 2n degrees is made
+    code, out, err = run_cli(command + ["--n", "1" + "0" * 60], capsys)
+    assert (code, out) == (3, "")
+    assert err.startswith("error: ") and "is too large to build" in err
+    assert err.count("\n") == 1
+
+
 def test_mismatched_blocks_are_a_parse_error(capsys):
     code, _, err = run_cli(
         ["chain-check", "--target", "shannon", "--dist", "1/2,1/4,1/4", "--blocks", "2,2"],

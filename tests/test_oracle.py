@@ -18,7 +18,7 @@ from orbit_entropy.dynkin import (
     poincare_parabolic,
     remove_nodes,
 )
-from orbit_entropy.exact import multinomial
+from orbit_entropy.exact import InexactDivisionError, multinomial
 from orbit_entropy.symplectic import gl_order, ig_count, isotropic_flag_count, FlagType, sp_order
 
 
@@ -336,13 +336,19 @@ def _ref_matvec(g, v, q):
     return tuple(sum(row[i] * v[i] for i in range(len(v))) % q for row in g)
 
 
+def _decoded_symplectic_elements(n, q):
+    # the oracle's group with each column code decoded through its field table
+    vectors = oracle._field(2 * n, q)[0]
+    return [tuple(vectors[c] for c in g) for g in oracle._symplectic_elements(n, q)]
+
+
 def _ref_orbit_and_stabilizer(s, n, q):
     dim = 2 * n
     base = frozenset(
         v for v in itertools.product(range(q), repeat=dim) if not any(v[s:])
     )
     orbit, stabilizer = set(), 0
-    for g in oracle._symplectic_elements(n, q):
+    for g in _decoded_symplectic_elements(n, q):
         image = frozenset(_ref_matvec(g, v, q) for v in base)
         orbit.add(image)
         stabilizer += image == base
@@ -362,15 +368,30 @@ def test_stabilizer_and_orbit_check_matches_the_matrix_action(s, n, q):
 
 @pytest.mark.parametrize("n,q", list(itertools.product((1, 2), (2, 3))))
 def test_omega_table_matches_the_gram_form(n, q):
-    # every pair the oracle's isotropy filter or Sp search could read
+    # every pair of codes the oracle's isotropy filter or Sp search could
+    # read, a code being the vector's index in itertools.product order
     J = _ref_gram(n, q)
     vectors = list(itertools.product(range(q), repeat=2 * n))
-    for u, v in itertools.product(vectors, repeat=2):
-        assert oracle._omega(u, v, q) == _ref_form(J, u, v, q), (u, v)
+    assert oracle._field(2 * n, q)[0] == vectors
+    for (u, x), (v, y) in itertools.product(enumerate(vectors), repeat=2):
+        assert oracle._omega(u, v, n, q) == _ref_form(J, x, y, q), (x, y)
+
+
+@pytest.mark.parametrize("dim,q", [(d, 2) for d in range(1, 5)] + [(d, 3) for d in range(1, 5)])
+def test_field_table_adds_multiples_coordinatewise(dim, q):
+    # table[v][c] sends each code u to the code of u + c v, mod q
+    vectors, table = oracle._field(dim, q)
+    index = {x: u for u, x in enumerate(vectors)}
+    for v, y in enumerate(vectors):
+        assert len(table[v]) == q
+        for c, row in enumerate(table[v]):
+            assert len(row) == 256 and row[len(vectors):] == bytes(range(len(vectors), 256))
+            for u, x in enumerate(vectors):
+                assert row[u] == index[tuple((a + c * b) % q for a, b in zip(x, y))]
 
 
 # the functools caches of the oracle, each filled on first use
-ORACLE_CACHES = ("_omega", "_span", "_root_system", "_symplectic_elements")
+ORACLE_CACHES = ("_field", "_omega", "_group", "_isotropic_spans", "_symplectic_elements")
 
 
 def test_oracle_verify_builds_each_omega_table_once(capsys):
@@ -401,7 +422,8 @@ def test_importing_the_oracle_builds_no_table():
     done = subprocess.run(
         [sys.executable, "-S", "-c", probe], capture_output=True, text=True, env=env
     )
-    assert (done.returncode, done.stderr, done.stdout) == (0, "", "0 0 0 0\n")
+    zeros = " ".join("0" * len(ORACLE_CACHES)) + "\n"
+    assert (done.returncode, done.stderr, done.stdout) == (0, "", zeros)
 
 
 @pytest.mark.parametrize(
@@ -409,9 +431,15 @@ def test_importing_the_oracle_builds_no_table():
     [(f, r) for f in ("A", "B") for r in range(1, 5)] + [("D", r) for r in range(2, 5)],
 )
 def test_positive_roots_by_closure_match_hand_written_lists(family, rank):
-    closed = oracle._positive_roots(oracle._simple_roots(family, rank))
-    assert len(set(closed)) == len(closed)
+    # the closure holds every root, each with its images under the simple
+    # reflections; the positive ones lead with a positive entry
+    images = oracle._roots(oracle._simple_roots(family, rank))
+    closed = [r for r in images if next(x for x in r if x) > 0]
     assert set(closed) == set(_ref_positive_roots(family, rank))
+    assert set(images) == set(closed) | {tuple(-x for x in r) for r in closed}
+    # each simple reflection permutes the roots
+    for i in range(rank):
+        assert {row[i] for row in images.values()} == set(images)
 
 
 @pytest.mark.parametrize("m,q", [(m, q) for q in (2, 3) for m in range(4)])
@@ -424,10 +452,11 @@ def test_symplectic_elements_match_reference_search(n, q):
     group = oracle._symplectic_elements(n, q)
     assert isinstance(group, tuple)
     assert len(set(group)) == len(group)
-    assert set(group) == set(_ref_symplectic_elements(n, q))
+    decoded = _decoded_symplectic_elements(n, q)
+    assert set(decoded) == set(_ref_symplectic_elements(n, q))
     J = _ref_gram(n, q)
     dim = 2 * n
-    for g in group:
+    for g in decoded:
         gtjg = [
             [
                 sum(g[r][a] * J[r][s] * g[s][b] for r in range(dim) for s in range(dim)) % q
@@ -459,22 +488,71 @@ def test_stabilizer_check_rejects_s_before_enumerating_the_group():
 
 
 def test_oracle_verify_closes_each_root_system_once(monkeypatch, capsys):
-    # its 88 censuses span 11 (family, rank) pairs; the roots, their index
-    # and the simple-reflection permutations depend on the pair alone
+    # its 88 censuses span 11 (family, rank) pairs; the roots, the group's
+    # closure and its moves depend on the pair alone
     from orbit_entropy import cli
 
-    closure = oracle._positive_roots
+    root_system = oracle._root_system
     calls = []
 
-    def counted(simples):
-        calls.append(tuple(simples))
-        return closure(simples)
+    def counted(family, rank):
+        calls.append((family, rank))
+        return root_system(family, rank)
 
-    monkeypatch.setattr(oracle, "_positive_roots", counted)
-    oracle._root_system.cache_clear()
+    monkeypatch.setattr(oracle, "_root_system", counted)
+    oracle._group.cache_clear()
     assert cli.main(["oracle-verify"]) == 0
     capsys.readouterr()
-    assert len(calls) == len(set(calls)) <= 11
+    assert len(calls) == len(set(calls)) == 11
+    info = oracle._group.cache_info()
+    assert (info.misses, info.currsize) == (11, 11) and info.hits == 88 - 11
+
+
+def test_oracle_verify_builds_each_isotropic_span_list_once(capsys):
+    # s = 1 for n = 1, s = 1, 2 for n = 2, at q = 2 and 3: six lists, each
+    # read again by the flag shapes after the subspace count built it
+    from orbit_entropy import cli
+
+    oracle._isotropic_spans.cache_clear()
+    assert cli.main(["oracle-verify"]) == 0
+    capsys.readouterr()
+    info = oracle._isotropic_spans.cache_info()
+    assert (info.misses, info.currsize) == (6, 6) and info.hits > 0
+
+
+@pytest.fixture
+def fresh_groups():
+    # the closures a seeded fault builds are not kept for later tests
+    oracle._group.cache_clear()
+    yield
+    oracle._group.cache_clear()
+
+
+def test_a_corrupted_reflection_exceeds_the_closure_cap(monkeypatch, fresh_groups):
+    # the first simple reflection of A_3 with the images of two positive
+    # roots exchanged still permutes the roots, but generates more than
+    # the 24 elements the cap allows
+    root_system = oracle._root_system
+
+    def corrupted(family, rank):
+        npos, reflections = root_system(family, rank)
+        table = bytearray(reflections[0])
+        table[npos], table[npos + 1] = table[npos + 1], table[npos]
+        return npos, [bytes(table)] + reflections[1:]
+
+    monkeypatch.setattr(oracle, "_root_system", corrupted)
+    with pytest.raises(InexactDivisionError, match="group closure exceeded the expected order"):
+        oracle.reflection_length_census("A", 3)
+    with pytest.raises(InexactDivisionError, match="group closure exceeded the expected order"):
+        oracle.parabolic_length_census("A", 3, (2,))
+
+
+def test_an_expected_order_too_large_is_not_reached(monkeypatch, fresh_groups):
+    # the closure stops at the group's 48 elements, one short of the order
+    # it was told to expect
+    monkeypatch.setattr(oracle, "group_order", lambda family, rank: group_order(family, rank) + 1)
+    with pytest.raises(InexactDivisionError, match="closure reached 48 elements, expected 49"):
+        oracle.reflection_length_census("B", 3)
 
 
 # the oracle stays independent of the closed forms it checks: its package

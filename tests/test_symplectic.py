@@ -1,6 +1,7 @@
 """Closed-form orders and counts over finite fields, the flag-count quotient,
 and the exact chain identity connecting nested flag types."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -536,6 +537,40 @@ def test_flag_quotient_is_the_group_over_the_stabilizer_it_proves():
     verify._prove_exponents(quotient, exponents)
     with pytest.raises(InexactDivisionError):
         verify._prove_exponents(quotient[::-1], exponents)
+
+
+@pytest.mark.parametrize("q", (2, 3, 7))
+def test_flag_bits_are_the_degree_difference_of_the_quotient(q):
+    # D = n(n + 1) - sum m(m + 1)/2 - r(r + 1) in closed form is the sum of
+    # the group's degrees less the Levi's
+    for n in range(1, 9):
+        for k in range(1, n + 1):
+            for blocks in set(itertools.permutations(range(1, k + 1), 2)) | {(k,), ()}:
+                if sum(blocks) > n:
+                    continue
+                js, ks = verify._flag_quotient(blocks, n)
+                want = (sum(js) - sum(ks)) * math.log2(q)
+                assert symplectic._flag_bits(blocks, n, q) == want, (blocks, n)
+
+
+@pytest.mark.parametrize("zeros", (60, 400))
+def test_counts_too_large_to_build_are_refused_before_any_degree_list(zeros, monkeypatch):
+    # at n = 10^60 the lists of about 2n degrees cannot be made; at 10^400
+    # D passes the float range and its estimate is inf
+    def forbidden(*args):
+        raise AssertionError("a degree list was built")
+
+    monkeypatch.setattr(symplectic, "_flag_quotient", forbidden)
+    monkeypatch.setattr(symplectic, "_flag_exponents", forbidden)
+    n = 10**zeros
+    for call in (
+        lambda: sp_quotient_closed(n, HALF, 2),
+        lambda: normalized_logq_quotient(n, HALF, 2),
+        lambda: ig_count(1, n, 3),
+        lambda: isotropic_flag_count(FlagType((1, 1), n, 2)),
+    ):
+        with pytest.raises(ValueError, match="is too large to build"):
+            call()
 
 
 def test_normalized_logq_quotient_falls_back_to_the_count_on_a_wide_bound(monkeypatch):

@@ -8,6 +8,12 @@ the two highest indices and tip rank-1 is not adjacent to tip rank.
 Removing nodes therefore splits B/C chains by segments but splits D by
 graph components; the component holding both fork tips keeps family D,
 every other component is a plain chain of type A.
+
+The module also owns the format every count is proved in, a ``Quotient``:
+the degree lists of a group and a subgroup, read off one degree table.  A
+length polynomial of W/W_P (``_weyl_quotient``) and a count |G(F_q)/P|
+(``_flag_quotient``) are both such a pair; ``_bracket_quotient`` divides
+one out as a polynomial, and verify proves counts from them.
 """
 
 from __future__ import annotations
@@ -121,8 +127,8 @@ def group_order(family: str, rank: int) -> int:
 def _bracket_sizes(family: str, rank: int) -> tuple[int, ...]:
     # the degrees of the family's reflection group, the package's one
     # degree table: the bracket sizes of its length generating function,
-    # with product the group order (Humphreys 1990, ch. 3); verify builds
-    # the orders of the groups of Lie type from them too
+    # with product the group order (Humphreys 1990, ch. 3), and the
+    # degrees of the groups of Lie type in the Quotient builders below
     if family == "A":
         return tuple(range(2, rank + 2))
     if family in ("B", "C"):
@@ -131,17 +137,46 @@ def _bracket_sizes(family: str, rank: int) -> tuple[int, ...]:
 
 
 def _sizes(factors: Sequence[tuple[str, int]]) -> list[int]:
-    # the bracket sizes of a factor list, for group_order and every Poincare builder
+    # the bracket sizes of a factor list, for group_order and _weyl_quotient
     return [j for fam, r in factors for j in _bracket_sizes(fam, _check_rank(fam, r))]
 
 
-def _bracket_quotient(numer: Sequence[int], denom: Sequence[int]) -> IntPolynomial:
-    """The polynomial C / P with C = prod [a]_t over numer and P = prod
-    [b]_t over denom, where [j]_t = 1 + t + ... + t^{j-1}.
+# (js, ks), the count prod(x^j - 1 for j in js) / prod(x^k - 1 for k in ks)
+Quotient = tuple[list[int], list[int]]
 
-    After cancelling shared sizes, C / P is the power series
-    prod (1 - t^a) / prod (1 - t^b) * (1 - t)^{#b - #a}, carried exactly
-    to degree M = floor(deg C / 2) in a list of ints.  Multiplying by
+
+def _weyl_quotient(group: ParabolicType, parabolic: ParabolicType) -> Quotient:
+    # the length polynomial of one factor list over another: [a]_t is
+    # (t^a - 1) / (t - 1), so each bracket size sits on its own side and
+    # a degree 1 on the other
+    js, ks = _sizes(group), _sizes(parabolic)
+    return js + [1] * len(ks), ks + [1] * len(js)
+
+
+def _gl_degrees(m: int) -> list[int]:
+    # those of SL_m, of type A_{m-1}, and the degree 1 of the centre
+    return [1, *_bracket_sizes("A", m - 1)] if m else []
+
+
+def _parabolic_quotient(degrees: Sequence[int], blocks: Sequence[int], rest=()) -> Quotient:
+    # G's degrees over the Levi degrees of P: GL_m per m in blocks, then rest
+    return [*degrees], [j for m in blocks for j in _gl_degrees(m)] + [*rest]
+
+
+def _flag_quotient(blocks: Sequence[int], n: int) -> Quotient:
+    rest = _bracket_sizes("C", n - sum(blocks))
+    return _parabolic_quotient(_bracket_sizes("C", n), blocks, rest)
+
+
+def _bracket_quotient(js: Sequence[int], ks: Sequence[int]) -> IntPolynomial:
+    """The polynomial prod (t^j - 1) / prod (t^k - 1) of a Quotient (js, ks).
+    For lists of equal length it is C / P with C = prod [a]_t over js and
+    P = prod [b]_t over ks, [j]_t = 1 + t + ... + t^{j-1}; unequal lengths
+    raise InexactDivisionError, since the end checks prove only C / P.
+
+    After cancelling shared degrees, C / P is the power series
+    prod (1 - t^a) / prod (1 - t^b) over the degrees a and b left, carried
+    exactly to degree M = floor(deg C / 2) in a list of ints.  Multiplying by
     1 - t^a subtracts the list shifted by a, and dividing by 1 - t^b takes
     running sums along each residue class mod b; each is one pass of
     map or itertools.accumulate.  A divisor 1 - t^b paired with a factor
@@ -161,8 +196,9 @@ def _bracket_quotient(numer: Sequence[int], denom: Sequence[int]) -> IntPolynomi
     does an exact quotient with a negative coefficient, which no parabolic
     quotient has.
     """
-    tops = Counter(a for a in numer if a > 1)
-    bottoms = Counter(b for b in denom if b > 1)
+    if len(js) != len(ks):
+        raise InexactDivisionError("degree lists of a quotient differ in length")
+    tops, bottoms = Counter(js), Counter(ks)
     shared = tops & bottoms
     tops, bottoms = tops - shared, bottoms - shared
     top_degree = sum((a - 1) * k for a, k in tops.items())
@@ -170,12 +206,8 @@ def _bracket_quotient(numer: Sequence[int], denom: Sequence[int]) -> IntPolynomi
     if degree < 0:
         raise InexactDivisionError("bracket degree exceeds dividend degree")
     reach = top_degree // 2
-    # (1 - t)^{#b - #a} enters as extra factors of size 1
-    excess = tops.total() - bottoms.total()
-    numerators = sorted(itertools.chain(tops.elements(), itertools.repeat(1, -excess)))
-    divisors = sorted(
-        itertools.chain(bottoms.elements(), itertools.repeat(1, excess)), reverse=True
-    )
+    numerators = sorted(tops.elements())
+    divisors = sorted(bottoms.elements(), reverse=True)
     series = [1]
 
     def times(a: int) -> None:
@@ -228,7 +260,7 @@ def poincare_closed(family: str, rank: int) -> IntPolynomial:
 
 
 def poincare_parabolic(factors: Sequence[tuple[str, int]]) -> IntPolynomial:
-    return _bracket_quotient(_sizes(factors), ())
+    return _bracket_quotient(*_weyl_quotient(factors, ()))
 
 
 def poincare_quotient(
@@ -237,7 +269,7 @@ def poincare_quotient(
     """poincare_closed(family, rank) divided by the parabolic product, as
     one checked bracket quotient.  Each factor's family and rank are
     checked as the group's are."""
-    return _bracket_quotient(_sizes([(family, rank)]), _sizes(factors))
+    return _bracket_quotient(*_weyl_quotient([(family, rank)], factors))
 
 
 def flag_factors(family: str, counts: Sequence[int]) -> ParabolicType:

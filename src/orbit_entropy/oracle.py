@@ -48,11 +48,10 @@ import itertools
 import operator
 from collections.abc import Iterable, Sequence
 
-from .dynkin import Diagram, _check_removal, group_order
+from .dynkin import Diagram, _check_removal, _flag_quotient, group_order
 from .exact import InexactDivisionError, IntPolynomial, Record, _field_sizes, _integral
 from .symplectic import _check_flag_shape, _check_gl_rank, _check_subspace
 from .symplectic import _group_order, ig_count, sp_order, unipotent_radical_order
-from .verify import _flag_quotient
 
 __all__ = [
     "MAX_WORD_LENGTH",

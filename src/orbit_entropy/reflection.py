@@ -13,7 +13,7 @@ import math
 from collections.abc import Sequence
 from functools import partial
 
-from .dynkin import _check_family, _sizes, flag_factors, poincare_quotient
+from .dynkin import Quotient, _bracket_quotient, _check_family, _weyl_quotient, flag_factors
 from .entropy import CoarseMap, ProbVec
 from .exact import IntPolynomial, _check_buildable, _ln_factorial_ratio, _log_count, multinomial
 from .report import IdentityReport, _proved_chain_rule
@@ -78,9 +78,10 @@ def _orbit(family: str, n: int, dist: ProbVec, quotient, one):
     return quotient(family, counts)
 
 
-def _by_flag_factors(quotient, family: str, counts: Sequence[int]):
-    # a quotient of dynkin's degree table: the rank n - 1 group over flag_factors
-    return quotient(family, sum(counts) - 1, flag_factors(family, counts))
+def _flag_orders(family: str, counts: Sequence[int]) -> Quotient:
+    # the rank n - 1 group over flag_factors: the degree lists orbit_poincare
+    # divides out and the chain rules prove
+    return _weyl_quotient([(family, sum(counts) - 1)], flag_factors(family, counts))
 
 
 def orbit_count(family: str, n: int, dist: ProbVec) -> int:
@@ -94,9 +95,7 @@ def orbit_count(family: str, n: int, dist: ProbVec) -> int:
 def orbit_poincare(family: str, n: int, dist: ProbVec) -> IntPolynomial:
     """Length generating function of the quotient, by exact polynomial
     division; evaluates to orbit_count at t = 1."""
-    return _orbit(
-        family, n, dist, partial(_by_flag_factors, poincare_quotient), IntPolynomial.one()
-    )
+    return _bracket_quotient(*_orbit(family, n, dist, _flag_orders, ([], [])))
 
 
 def normalized_log_orbit(family: str, n: int, dist: ProbVec) -> float:
@@ -114,18 +113,9 @@ def normalized_log_orbit(family: str, n: int, dist: ProbVec) -> float:
     return _orbit(family, n, dist, _log_index, 0.0) / n
 
 
-def _bracket_orders(family: str, rank: int, factors: Sequence[tuple[str, int]]):
-    # poincare_quotient's two bracket-size lists as a verify.Quotient:
-    # [a]_t = (t^a - 1) / (t - 1), so each size sits on its own side and
-    # a degree 1 on the other
-    group, parabolic = _sizes([(family, rank)]), _sizes(factors)
-    return group + [1] * len(parabolic), parabolic + [1] * len(group)
-
-
 def _grading(count, family: str):
-    # a count of the family and the bracket sizes that prove its chain rule
-    orders = partial(_by_flag_factors, _bracket_orders)
-    return partial(count, family), partial(_orbit, family, quotient=orders, one=([], []))
+    # a count of the family and the degree lists that prove its chain rule
+    return partial(count, family), partial(_orbit, family, quotient=_flag_orders, one=([], []))
 
 
 def coarsening_cardinality_check(
@@ -145,7 +135,7 @@ def coarsening_poincare_check(
 ) -> IdentityReport:
     """Same identity one level up, for the length generating functions;
     the report carries the two polynomials and their difference.  Each
-    side's bracket sizes prove it, so only lhs is divided out; the right
+    side's degree lists prove it, so only lhs is divided out; the right
     side is built and multiplied out, as report.chain_rule_check does,
     only if that proof fails."""
     return _proved_chain_rule(

@@ -66,7 +66,7 @@ def chain_rule_check(
 
 def _proved_chain_rule(outer, inner, n: int, dist: ProbVec, cmap: CoarseMap) -> IdentityReport:
     # chain_rule_check's report for the gradings outer and inner, each a
-    # pair (count, orders) with orders(n, P) the verify.Quotient that
+    # pair (count, orders) with orders(n, P) the dynkin.Quotient that
     # count(n, P) evaluates.  lhs is built; the right-hand side is proved
     # equal to it from the orders by verify._proves_coarsening, and only
     # when the proof fails does chain_rule_check compute both sides

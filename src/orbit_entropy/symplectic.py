@@ -12,7 +12,7 @@ import math
 from collections.abc import Iterable, Sequence
 from functools import partial
 
-from .dynkin import _bracket_sizes
+from .dynkin import _bracket_sizes, _flag_quotient, _gl_degrees, _parabolic_quotient
 from .entropy import CoarseMap, ProbVec
 from .exact import (
     Record,
@@ -25,15 +25,7 @@ from .exact import (
     q_multinomial,
 )
 from .report import IdentityReport, _proved_chain_rule
-from .verify import (
-    _flag_quotient,
-    _gl_degrees,
-    _order,
-    _parabolic_quotient,
-    _positive_roots,
-    _prove_exponents,
-    check_count,
-)
+from .verify import _order, _positive_roots, _prove_exponents, check_count
 
 __all__ = [
     "FlagType",
@@ -212,12 +204,12 @@ def normalized_logq_quotient(n: int, dist: ProbVec, q: int) -> float:
 
 
 def _flag_orders(n: int, dist: ProbVec):
-    # sp_quotient_closed(n, dist, q) as the verify.Quotient of Sp_n over P
+    # sp_quotient_closed(n, dist, q) as the dynkin.Quotient of Sp_n over P
     return _flag_quotient(dist.scaled_counts(n)[:-1], n)
 
 
 def _gl_flag_orders(m: int, dist: ProbVec):
-    # q_multinomial(m, dist.scaled_counts(m), q) as the verify.Quotient of GL_m over P
+    # q_multinomial(m, dist.scaled_counts(m), q) as the dynkin.Quotient of GL_m over P
     return _parabolic_quotient(_gl_degrees(m), dist.scaled_counts(m))
 
 

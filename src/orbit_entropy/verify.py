@@ -2,8 +2,8 @@
 
 ``ig_count``, ``isotropic_flag_count`` and ``sp_quotient_closed`` all count
 the flags of one shape, |Sp_n / P| for the parabolic P fixing an isotropic
-flag with increments m_1, ..., m_k.  Each hands ``check_count`` the
-``Quotient`` of Sp_n over P, its exponent vector and its value; the check
+flag with increments m_1, ..., m_k.  Each hands ``check_count`` its
+``dynkin._flag_quotient``, its exponent vector and its value; the check
 proves count * |P| = |Sp_n| in two steps, and builds big integers only in
 the fallback of step 2:
 
@@ -12,9 +12,9 @@ the fallback of step 2:
    |Sp_n| takes the type-C degrees 2, 4, ..., 2n, and |P| those of its
    Levi factor GL_{m_1} x ... x GL_{m_k} x Sp_r, r = n - sum m.  P holds
    the whole unipotent radical, the positive roots outside the Levi, so
-   |P| has the q^N of Sp_n, which cancels: a ``Quotient`` is the degree
-   lists (js, ks), the count prod(q^j - 1) / prod(q^k - 1).  As q^j - 1
-   is the product of Phi_d(q) over d | j, the identity holds as
+   |P| has the q^N of Sp_n, which cancels: a ``dynkin.Quotient`` is the
+   degree lists (js, ks), the count prod(q^j - 1) / prod(q^k - 1).  As
+   q^j - 1 is the product of Phi_d(q) over d | j, the identity holds as
    polynomials in q exactly when, for every d, e_d of the count is the
    number of j in js with d | j less the number of such k in ks.  The
    degrees come from dynkin's table, not from the closed form's floor
@@ -25,9 +25,9 @@ the fallback of step 2:
    ks is 0 mod p says nothing and is skipped; with fewer than two primes
    left, the exact big-integer equality runs instead.
 
-``check_count`` is one check over any ``Quotient``, group over
-stabilizer.  The log path runs step 1 alone, ``_prove_exponents``, and
-bounds its log over the same degree lists.
+``check_count`` is one check over any quotient, group over stabilizer;
+dynkin builds them all.  The log path runs step 1 alone,
+``_prove_exponents``, and bounds its log over the same degree lists.
 
 The flag-count identity count = ig_count(s) * q_multinomial(s, m), with
 s = sum m, written through degree lists, is this factorization for the
@@ -49,7 +49,6 @@ from __future__ import annotations
 import itertools
 from collections.abc import Iterable, Sequence
 
-from .dynkin import _bracket_sizes
 from .exact import InexactDivisionError, product
 
 __all__ = ["PRIMES", "check_count"]
@@ -59,10 +58,6 @@ __all__ = ["PRIMES", "check_count"]
 # reach vanishes mod p, and a prime is skipped only for q = +-1 mod p
 PRIMES = (2**61 - 2373, 2**61 - 3153, 2**61 - 7245)
 
-# a count prod(q^j - 1 for j in js) / prod(q^k - 1 for k in ks), as the
-# degree lists (js, ks) of the group and the stabilizer's Levi factor
-Quotient = tuple[list[int], list[int]]
-
 
 def _positive_roots(degrees: Iterable[int]) -> int:
     # N = sum(j - 1) for a split reductive group with these degrees: its
@@ -70,22 +65,7 @@ def _positive_roots(degrees: Iterable[int]) -> int:
     return sum(j - 1 for j in degrees)
 
 
-def _gl_degrees(m: int) -> list[int]:
-    # those of SL_m, of type A_{m-1}, and the degree 1 of the centre
-    return [1, *_bracket_sizes("A", m - 1)] if m else []
-
-
-def _parabolic_quotient(degrees: Sequence[int], blocks: Sequence[int], rest=()) -> Quotient:
-    # G's degrees over the Levi degrees of P: GL_m per m in blocks, then rest
-    return [*degrees], [j for m in blocks for j in _gl_degrees(m)] + [*rest]
-
-
-def _flag_quotient(blocks: Sequence[int], n: int) -> Quotient:
-    rest = _bracket_sizes("C", n - sum(blocks))
-    return _parabolic_quotient(_bracket_sizes("C", n), blocks, rest)
-
-
-def _phi_exponents(terms: Iterable[tuple[int, Quotient]]) -> list[int]:
+def _phi_exponents(terms: Iterable[tuple[int, tuple[list[int], list[int]]]]) -> list[int]:
     # e with the product of the quotients, each raised to its sign (+1 or
     # -1), equal to prod Phi_d^{e[d]}: a degree j of a group adds the sign
     # to e_d for every d | j, one of a stabilizer subtracts it; e[0] = 0
@@ -100,14 +80,16 @@ def _phi_exponents(terms: Iterable[tuple[int, Quotient]]) -> list[int]:
     return [0] + [sum(net[d::d]) for d in range(1, len(net))]
 
 
-def _prove_exponents(quotient: Quotient, exponents: Sequence[int]) -> None:
+def _prove_exponents(quotient: tuple[list[int], list[int]], exponents: Sequence[int]) -> None:
     # step 1 alone: the product of Phi_d(q)^{exponents[d]} is the count of
     # the quotient (js, ks) as polynomials in q
     if list(exponents) != _phi_exponents([(1, quotient)]):
         raise InexactDivisionError("flag count exponents fail the stabilizer factorization")
 
 
-def _proves_coarsening(fine: Quotient, parts: Iterable[Quotient]) -> bool:
+def _proves_coarsening(
+    fine: tuple[list[int], list[int]], parts: Iterable[tuple[list[int], list[int]]]
+) -> bool:
     """Whether the count ``fine`` is the product of the counts ``parts`` as
     polynomials: each is a quotient of degree lists, and every Phi_d has
     net exponent zero.  A False proves nothing: the counts can still agree
@@ -130,7 +112,9 @@ def _order(degrees: Iterable[int], q: int) -> int:
     return product(q**j - 1 for j in degrees)
 
 
-def check_count(quotient: Quotient, q: int, exponents: Sequence[int], value: int) -> None:
+def check_count(
+    quotient: tuple[list[int], list[int]], q: int, exponents: Sequence[int], value: int
+) -> None:
     """Check that ``value``, the product of Phi_d(q)^{exponents[d]}, is the
     count prod(q^j - 1) / prod(q^k - 1) at q of ``quotient``, (js, ks)."""
     _prove_exponents(quotient, exponents)

@@ -14,6 +14,7 @@ from orbit_entropy.cli import _positive_compositions
 from orbit_entropy.dynkin import (
     Diagram,
     _bracket_quotient,
+    _weyl_quotient,
     flag_factors,
     group_order,
     parabolic_for_distribution,
@@ -217,9 +218,12 @@ def test_poincare_quotient_value_at_one_is_index(case):
     "factors", ([("E", 2)], [("A", 0)], [("A", -3)], [("X", 1)]), ids=repr
 )
 def test_both_gradings_reject_the_same_factors(factors):
-    # the length-graded quotient checks each factor's family and rank
+    # the length polynomial and the degree lists the chain rules prove
+    # each check every factor's family and rank
     with pytest.raises(ValueError):
         poincare_quotient("A", 5, factors)
+    with pytest.raises(ValueError):
+        _weyl_quotient([("A", 5)], factors)
 
 
 def test_poincare_closed_cache_is_bounded():
@@ -449,10 +453,17 @@ def test_non_divisible_quotient_raises(family, rank, factors):
         poincare_quotient(family, rank, factors)
 
 
+def _brackets(numer, denom):
+    # the Quotient of prod [a]_t over numer by prod [b]_t over denom:
+    # [j]_t = (t^j - 1) / (t - 1), a degree j over a degree 1
+    return [*numer, *[1] * len(denom)], [*denom, *[1] * len(numer)]
+
+
 @pytest.mark.parametrize(
     "numer,denom",
     [
-        # each passes every end check but the one named
+        # each passes every end check but the one named; the value at t = 1
+        # follows from the other two, so its case fails palindromy as well
         ((4, 6, 6, 9), (8, 2, 3)),  # palindromy
         ((3, 8, 6, 1, 5), (9, 5, 2, 4)),  # no terms between D and deg C / 2
         ((5, 7, 9), (9, 2, 2, 7)),  # the value at t = 1
@@ -460,7 +471,15 @@ def test_non_divisible_quotient_raises(family, rank, factors):
 )
 def test_every_end_check_is_needed(numer, denom):
     with pytest.raises(InexactDivisionError):
-        _bracket_quotient(numer, denom)
+        _bracket_quotient(*_brackets(numer, denom))
+
+
+@pytest.mark.parametrize("js,ks", [([2], []), ([], [1]), ([4, 6], [2]), ([1, 2], [2, 1, 1])])
+def test_degree_lists_of_unequal_length_raise(js, ks):
+    # the end checks prove Q * P = C only for brackets, lists of equal
+    # length; ([2], []) would pass them as 1 + t, not t^2 - 1
+    with pytest.raises(InexactDivisionError, match="differ in length"):
+        _bracket_quotient(js, ks)
 
 
 @pytest.mark.parametrize(
@@ -475,14 +494,14 @@ def test_every_end_check_is_needed(numer, denom):
 )
 def test_the_mirrored_overlap_is_checked(numer, denom):
     with pytest.raises(InexactDivisionError, match="nonzero remainder"):
-        _bracket_quotient(numer, denom)
+        _bracket_quotient(*_brackets(numer, denom))
 
 
 def test_an_exact_quotient_with_a_negative_coefficient_raises():
     # [4][6] / ([2]^2 [3]) = Phi_4 Phi_6 = 1 - t + 2t^2 - t^3 + t^4 passes
     # the other end checks
     with pytest.raises(InexactDivisionError, match="negative coefficient"):
-        _bracket_quotient((4, 6), (2, 2, 3))
+        _bracket_quotient(*_brackets((4, 6), (2, 2, 3)))
 
 
 def _ref_bracket_quotient(numer, denom):
@@ -512,9 +531,9 @@ def test_half_degree_quotient_matches_bracket_division():
         if want is None or min(want) < 0:
             negative += want is not None
             with pytest.raises(InexactDivisionError):
-                _bracket_quotient(numer, denom)
+                _bracket_quotient(*_brackets(numer, denom))
             continue
-        assert _bracket_quotient(numer, denom) == IntPolynomial(want)
+        assert _bracket_quotient(*_brackets(numer, denom)) == IntPolynomial(want)
         top = sum(a - 1 for a in numer)
         shapes[top % 2, len(want) - 1 > top // 2] += 1
     assert negative and len(shapes) == 4 and min(shapes.values()) >= 20, shapes

@@ -228,9 +228,10 @@ def test_polynomial_product_edge_cases():
 
 
 def test_decimal_product_at_the_edge_of_its_fields():
-    # a coefficient of -bound, with 2 bound just below 10^w: at the edge of
-    # a base-10 field of w = 72 digits, which the int product must still
-    # carry through its binary slots unchanged
+    # the int product of 300 equal coefficients c with itself and with its
+    # negation, against the closed-form ramp min(k + 1, 599 - k) c^2: its
+    # top coefficient 300 c^2 and twice it both have 72 digits, so every
+    # coefficient of either sign must come through the binary slots whole
     c = math.isqrt(49 * 10**70 // 300)
     q = IntPolynomial((c,) * 300)
     bound = 300 * c * c
@@ -259,8 +260,9 @@ def _mul_shapes(side):
     }
 
 
-# each shape against the schoolbook product, in both orders; the name and
-# ids are those the test had when it compared a Decimal product with this one
+# the int product of each shape against _schoolbook and against the product
+# with its factors swapped, and its degree; no Decimal product is compared,
+# the name and ids are kept from one that no longer exists
 @pytest.mark.parametrize("side", (0, 1))
 @pytest.mark.parametrize("shape", ("signed", "zero interior", "lopsided", "single"))
 def test_decimal_product_matches_the_int_product(side, shape):

@@ -155,16 +155,14 @@ def test_held_poincare_check_divides_once(monkeypatch):
         products.append((a, b))
         return multiply(a, b)
 
-    monkeypatch.setattr(dynkin, "_bracket_quotient", counted)
+    monkeypatch.setattr(reflection, "_bracket_quotient", counted)
     monkeypatch.setattr(IntPolynomial, "__mul__", counted_product)
     dist, cmap = ProbVec(("1/4", "1/4", "1/2")), CoarseMap((2, 1))
     result = reflection.coarsening_poincare_check("B", 48, dist, cmap)
     assert result.holds and result.rhs is result.lhs
     # the one quotient is lhs: B_47 over A_11 x A_11 x B_23
-    assert calls == [
-        (tuple(dynkin._sizes([("B", 47)])),
-         tuple(dynkin._sizes([("A", 11), ("A", 11), ("B", 23)])))
-    ]
+    js, ks = dynkin._weyl_quotient([("B", 47)], [("A", 11), ("A", 11), ("B", 23)])
+    assert calls == [(tuple(js), tuple(ks))]
     # a proved identity multiplies no polynomials
     assert products == []
 
@@ -225,12 +223,12 @@ def test_proof_compares_powers_of_q_and_phi_1_only_from_least():
     assert not prove(([4], [1]), [bracket_2])
 
 
-# every builder of a verify.Quotient (js, ks) the package has, as a
+# every builder of a dynkin.Quotient (js, ks) the package has, as a
 # function of (n, dist), with the count it stands for as a function of
 # (n, dist, q); a new count's builder joins this list
 QUOTIENT_BUILDERS = {
     "flag": (
-        lambda n, d: verify._flag_quotient(d.scaled_counts(n)[:-1], n),
+        lambda n, d: dynkin._flag_quotient(d.scaled_counts(n)[:-1], n),
         symplectic.sp_quotient_closed,
     ),
     "gl-flag": (
@@ -239,9 +237,7 @@ QUOTIENT_BUILDERS = {
     ),
     **{
         f"brackets-{family}": (
-            lambda n, d, family=family: reflection._bracket_orders(
-                family, n - 1, dynkin.flag_factors(family, d.scaled_counts(n))
-            ),
+            lambda n, d, family=family: reflection._flag_orders(family, d.scaled_counts(n)),
             lambda n, d, q, family=family: reflection.orbit_poincare(family, n, d)(q),
         )
         for family in dynkin.FAMILIES
@@ -255,11 +251,18 @@ def test_every_quotient_builder_puts_the_group_over_the_stabilizer(builder, coun
     # e_d >= 0, a builder returning (ks, js) would turn them negative; and
     # it is the count the builder stands for.  q = 3 is needed: a bracket
     # without its degree-1 partner leaves a factor Phi_1(3) = 2, where
-    # Phi_1(2) = 1
+    # Phi_1(2) = 1.  The length polynomial of the same lists evaluates to
+    # the count at t = q: for the Lie counts that is the Bruhat
+    # decomposition (Carter 1985), |G(F_q)/P| as the length polynomial of
+    # W/W_P at q
     for n in range(2, 13):
         for parts in _positive_compositions(n, 3):
             dist = ProbVec(Fraction(m, n) for m in parts)
-            net = verify._phi_exponents([(1, builder(n, dist))])
+            quotient = builder(n, dist)
+            net = verify._phi_exponents([(1, quotient)])
             assert min(net) >= 0, (n, parts)
+            length = dynkin._bracket_quotient(*quotient)
             for q in (2, 3):
-                assert exact.cyclotomic_product(net, q) == count(n, dist, q), (n, parts, q)
+                want = count(n, dist, q)
+                assert exact.cyclotomic_product(net, q) == want, (n, parts, q)
+                assert length(q) == want, (n, parts, q)

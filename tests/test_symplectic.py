@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from orbit_entropy import exact, symplectic, verify
+from orbit_entropy import dynkin, exact, symplectic, verify
 from orbit_entropy.dynkin import poincare_quotient
 from orbit_entropy.entropy import CoarseMap, ProbVec, symplectic_entropy
 from orbit_entropy.exact import InexactDivisionError, exact_div, q_multinomial
@@ -103,7 +103,7 @@ def test_orders_match_the_hand_derived_powers():
             unipotent = (n * (2 * n + 1) - levi) // 2
             degrees = [j for m in blocks for j in range(1, m + 1)]
             degrees += [2 * i for i in range(1, r + 1)]
-            group, levi_degrees = verify._flag_quotient(blocks, n)
+            group, levi_degrees = dynkin._flag_quotient(blocks, n)
             assert levi_degrees == degrees
             # the unipotent radical's dimension is the N of Sp_n less the Levi's
             roots = verify._positive_roots
@@ -367,7 +367,7 @@ FAULTS = {
     "one exponent wrong": (symplectic, "_flag_exponents", _bump_e_2),
     # the closed form keeps its floor formula; only the proof reads the table
     "a type-C degree wrong, as the proof reads it": (
-        verify, "_bracket_sizes", _bump_top_c_degree
+        dynkin, "_bracket_sizes", _bump_top_c_degree
     ),
 }
 
@@ -396,7 +396,7 @@ def test_symbolic_proof_rejects_vectors_right_only_at_one_q():
     # right value at q = 2, which the residue check alone would accept
     exps = symplectic._flag_exponents((3,), 6)
     value = ig_count(3, 6, 2)
-    verify.check_count(verify._flag_quotient((3,), 6), 2, exps, value)
+    verify.check_count(dynkin._flag_quotient((3,), 6), 2, exps, value)
     extra_phi_1 = exps.copy()
     extra_phi_1[1] += 1
     phi_2_as_phi_6 = exps.copy()
@@ -405,7 +405,7 @@ def test_symbolic_proof_rejects_vectors_right_only_at_one_q():
     for bad in (extra_phi_1, phi_2_as_phi_6):
         assert exact.cyclotomic_product(bad, 2) == value
         with pytest.raises(InexactDivisionError):
-            verify.check_count(verify._flag_quotient((3,), 6), 2, bad, value)
+            verify.check_count(dynkin._flag_quotient((3,), 6), 2, bad, value)
 
 
 def test_exact_equality_runs_when_fewer_than_two_primes_inform(monkeypatch):
@@ -531,7 +531,7 @@ def test_normalized_logq_quotient_proves_the_exponents_first(bits, monkeypatch):
 
 def test_flag_quotient_is_the_group_over_the_stabilizer_it_proves():
     blocks, n = (1, 2), 6
-    quotient = verify._flag_quotient(blocks, n)
+    quotient = dynkin._flag_quotient(blocks, n)
     assert quotient == ([2, 4, 6, 8, 10, 12], [1, 1, 2, 2, 4, 6])
     exponents = symplectic._flag_exponents(blocks, n)
     verify._prove_exponents(quotient, exponents)
@@ -548,7 +548,7 @@ def test_flag_bits_are_the_degree_difference_of_the_quotient(q):
             for blocks in set(itertools.permutations(range(1, k + 1), 2)) | {(k,), ()}:
                 if sum(blocks) > n:
                     continue
-                js, ks = verify._flag_quotient(blocks, n)
+                js, ks = dynkin._flag_quotient(blocks, n)
                 want = (sum(js) - sum(ks)) * math.log2(q)
                 assert symplectic._flag_bits(blocks, n, q) == want, (blocks, n)
 

@@ -26,7 +26,7 @@ from collections.abc import Iterable, Sequence
 from functools import lru_cache
 
 from .entropy import ProbVec
-from .exact import InexactDivisionError, IntPolynomial, Record, _integral, exact_div
+from .exact import InexactDivisionError, IntPolynomial, Record, _integral
 
 __all__ = [
     "FAMILIES",
@@ -187,14 +187,13 @@ def _bracket_quotient(js: Sequence[int], ks: Sequence[int]) -> IntPolynomial:
 
     The result Q has the series' coefficients 0..min(M, D), with
     D = deg C - deg P, and coefficient i > M equal to coefficient D - i,
-    the value palindromy gives it.  The series is exact, so Q * P agrees
-    with C modulo t^{M+1}.  Hence a Q with no series terms between D and
-    M and palindromic of degree D (which compares the overlap D - M..M
-    when D > M) satisfies Q * P = C: both sides are palindromic of degree
-    deg C and agree up to degree floor(deg C / 2).  Q(1) = C(1) / P(1) is
-    checked as well.  Any other result raises InexactDivisionError; so
-    does an exact quotient with a negative coefficient, which no parabolic
-    quotient has.
+    the value palindromy gives it.  One condition proves Q * P = C:
+    D >= 0, no series terms between D and M, and Q palindromic of degree
+    D (which compares the overlap D - M..M when D > M).  The series is
+    exact, so then Q * P agrees with C modulo t^{M+1}, and both sides are
+    palindromic of degree deg C, so they agree everywhere.  A result that
+    fails the condition raises InexactDivisionError; so does an exact
+    quotient with a negative coefficient, which no parabolic quotient has.
     """
     if len(js) != len(ks):
         raise InexactDivisionError("degree lists of a quotient differ in length")
@@ -203,8 +202,6 @@ def _bracket_quotient(js: Sequence[int], ks: Sequence[int]) -> IntPolynomial:
     tops, bottoms = tops - shared, bottoms - shared
     top_degree = sum((a - 1) * k for a, k in tops.items())
     degree = top_degree - sum((b - 1) * k for b, k in bottoms.items())
-    if degree < 0:
-        raise InexactDivisionError("bracket degree exceeds dividend degree")
     reach = top_degree // 2
     numerators = sorted(tops.elements())
     divisors = sorted(bottoms.elements(), reverse=True)
@@ -235,13 +232,9 @@ def _bracket_quotient(js: Sequence[int], ks: Sequence[int]) -> IntPolynomial:
         times(a)
     for b in unpaired:
         over(b)
-    if any(series[degree + 1 :]):
-        raise InexactDivisionError("bracket quotient is not a polynomial")
     coeffs = series[: degree + 1]
     coeffs += coeffs[: degree + 1 - len(coeffs)][::-1]
-    top_value = math.prod(a**k for a, k in tops.items())
-    bottom_value = math.prod(b**k for b, k in bottoms.items())
-    if coeffs != coeffs[::-1] or sum(coeffs) != exact_div(top_value, bottom_value):
+    if degree < 0 or any(series[degree + 1 :]) or coeffs != coeffs[::-1]:
         raise InexactDivisionError("nonzero remainder in bracket division")
     if min(coeffs) < 0:
         raise InexactDivisionError("bracket quotient has a negative coefficient")

@@ -504,11 +504,11 @@ def _log_count(
     """math.log(count()), the same float bit for bit.  When the count's
     estimated bit length reaches _LOG_BOUND_BITS, the float comes from the
     certified bounds ln_count() returns, without building the count, unless
-    they leave it open.  A count left open that _check_buildable refuses
-    raises ValueError."""
+    they leave it open.  A count left open is built; the counts passed
+    here, reflection._index and symplectic._flag_count, refuse one too
+    large to build by _check_buildable before they make anything."""
     if bits >= _LOG_BOUND_BITS:
         value = _log_from_ln(*ln_count())
         if value is not None:
             return value
-        _check_buildable(bits)
     return math.log(count())

@@ -69,11 +69,11 @@ def _log_index(family: str, counts: Sequence[int]) -> float:
 
 
 def _orbit(family: str, n: int, dist: ProbVec, quotient, one):
-    # quotient(family, counts) for the flag shape counts = n*P; the rank-0
-    # group at n = 1 is trivial, but its family is checked all the same
+    # quotient(family, counts), which checks the family, for counts = n*P;
+    # the rank-0 group at n = 1 is trivial, but its family is checked too
     counts = dist.scaled_counts(n)
-    _check_family(family)
     if n == 1:
+        _check_family(family)
         return one
     return quotient(family, counts)
 

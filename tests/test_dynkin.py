@@ -462,11 +462,12 @@ def _brackets(numer, denom):
 @pytest.mark.parametrize(
     "numer,denom",
     [
-        # each passes every end check but the one named; the value at t = 1
-        # follows from the other two, so its case fails palindromy as well
+        # each passes every clause of the one condition on Q * P = C but
+        # the one named
         ((4, 6, 6, 9), (8, 2, 3)),  # palindromy
         ((3, 8, 6, 1, 5), (9, 5, 2, 4)),  # no terms between D and deg C / 2
-        ((5, 7, 9), (9, 2, 2, 7)),  # the value at t = 1
+        ((5, 7, 9), (9, 2, 2, 7)),  # palindromy, where C(1) / P(1) is 5/4
+        ((3,), (5,)),  # D >= 0: without it [3] / [5] would pass as 1
     ],
 )
 def test_every_end_check_is_needed(numer, denom):
@@ -485,9 +486,8 @@ def test_degree_lists_of_unequal_length_raise(js, ks):
 @pytest.mark.parametrize(
     "numer,denom",
     [
-        # D > deg C / 2 and C(1) / P(1) = sum of the slots with their
-        # mirrors; only the overlap D - M..M, M = deg C // 2, is not
-        # palindromic.  deg C is 14 (M = 7, D = 9) and 15 (M = 7, D = 9).
+        # D > deg C / 2, and only the overlap D - M..M, M = deg C // 2, is
+        # not palindromic.  deg C is 14 (M = 7, D = 9) and 15 (M = 7, D = 9).
         ((10, 6), (4, 3)),
         ((9, 8), (2, 6)),
     ],

@@ -2,8 +2,9 @@
 imports only modules earlier in LAYERS, also in its lazy imports inside
 functions, so no import cycle can form.  Every private function of the
 package is called from the package, and every message a raise spells out
-is raised at one site, the one statement of its rule.  Memos are functools
-caches: no class is a hand-rolled one."""
+is raised at one site, the one statement of its rule.  Every name a module
+imports is read there or republished.  Memos are functools caches: no class
+is a hand-rolled one."""
 
 import ast
 from collections import Counter
@@ -81,6 +82,41 @@ def test_every_private_function_has_a_caller_in_the_package():
     }
     defined = set().union(*map(_private_functions, trees))
     assert defined <= used, sorted(defined - used)
+
+
+def _imported_names(tree):
+    # the names the module-level imports bind, but __future__ features and
+    # star imports
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            yield from (a.asname or a.name for a in node.names if a.name != "*")
+        elif isinstance(node, ast.Import):
+            yield from (a.asname or a.name.partition(".")[0] for a in node.names)
+
+
+def _exported_names(tree):
+    # the string entries of a module-level __all__ list
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            for elt in node.value.elts:
+                if isinstance(elt, ast.Constant):
+                    yield elt.value
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.stem)
+def test_every_import_is_used(path):
+    # a name imported and never read, nor republished in __all__, is left
+    # over from code that is gone
+    tree = ast.parse(path.read_text())
+    read = {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    unused = set(_imported_names(tree)) - read - set(_exported_names(tree))
+    assert not unused, sorted(unused)
 
 
 def _raised_literals(tree):

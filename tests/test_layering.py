@@ -105,18 +105,24 @@ def _exported_names(tree):
                     yield elt.value
 
 
-@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.stem)
-def test_every_import_is_used(path):
-    # a name imported and never read, nor republished in __all__, is left
-    # over from code that is gone
-    tree = ast.parse(path.read_text())
+def _unused_imports(tree):
     read = {
         node.id
         for node in ast.walk(tree)
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
     }
-    unused = set(_imported_names(tree)) - read - set(_exported_names(tree))
-    assert not unused, sorted(unused)
+    return sorted(set(_imported_names(tree)) - read - set(_exported_names(tree)))
+
+
+def test_every_import_is_used():
+    # a name imported and never read, nor republished in __all__, is left
+    # over from code that is gone
+    unused = {
+        path.stem: names
+        for path in sorted(PACKAGE.glob("*.py"))
+        if (names := _unused_imports(ast.parse(path.read_text())))
+    }
+    assert not unused, unused
 
 
 def _raised_literals(tree):
